@@ -77,27 +77,23 @@ class _Entry:
 
 
 class CfNode:
-    __slots__ = ("entries", "is_leaf", "prev_leaf", "next_leaf")
+    __slots__ = ("entries", "is_leaf")
 
     def __init__(self, is_leaf: bool, entries=None):
         self.entries: list[_Entry] = entries if entries is not None else []
         self.is_leaf = is_leaf
-        self.prev_leaf: CfNode | None = None
-        self.next_leaf: CfNode | None = None
 
 
 class CfTree:
     def __init__(self, params: BirchParams):
         self.params = params
         self.root: CfNode | None = None
-        self.first_leaf: CfNode | None = None
 
     def insert(self, x: np.ndarray, point_id: int) -> None:
         if self.root is None:
             leaf = CfNode(is_leaf=True)
             leaf.entries.append(_Entry(ClusteringFeature.of_point(x), point_ids=[point_id]))
             self.root = leaf
-            self.first_leaf = leaf
             return
         split = self._insert(self.root, x, point_id)
         if split is not None:
@@ -146,20 +142,6 @@ class CfTree:
                 continue
             (group_a if d2[idx, i] <= d2[idx, j] else group_b).append(entry)
 
-        node_a = CfNode(node.is_leaf, group_a)
-        node_b = CfNode(node.is_leaf, group_b)
-        if node.is_leaf:
-            node_a.prev_leaf = node.prev_leaf
-            node_a.next_leaf = node_b
-            node_b.prev_leaf = node_a
-            node_b.next_leaf = node.next_leaf
-            if node.prev_leaf is not None:
-                node.prev_leaf.next_leaf = node_a
-            if node.next_leaf is not None:
-                node.next_leaf.prev_leaf = node_b
-            if self.first_leaf is node:
-                self.first_leaf = node_a
-
         def summed(entries):
             cf = ClusteringFeature(0, np.zeros_like(entries[0].cf.ls), 0.0)
             for e in entries:
@@ -167,15 +149,19 @@ class CfTree:
             return cf
 
         return (
-            _Entry(summed(group_a), child=node_a),
-            _Entry(summed(group_b), child=node_b),
+            _Entry(summed(group_a), child=CfNode(node.is_leaf, group_a)),
+            _Entry(summed(group_b), child=CfNode(node.is_leaf, group_b)),
         )
 
     def leaf_entries(self):
-        node = self.first_leaf
-        while node is not None:
-            yield from node.entries
-            node = node.next_leaf
+        """Leaf subclusters, left to right through the tree."""
+        stack = [self.root] if self.root is not None else []
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                yield from node.entries
+            else:
+                stack.extend(e.child for e in reversed(node.entries))
 
     def validate(self) -> None:
         """Check branching caps and CF additivity at every internal node."""
@@ -223,17 +209,11 @@ def birch_fit(x: np.ndarray, params: BirchParams | None = None) -> Partition:
     scores = x @ centroids.T - 0.5 * np.einsum("ij,ij->i", centroids, centroids)
     nearest = np.argmax(scores, axis=1)
     # compact away any centroid that attracted no points
-    uniq, assignment = np.unique(nearest, return_inverse=True)
-    partition = Partition(assignment, k=len(uniq))
-    partition.validate()
-    return partition
+    return Partition.compact(nearest)
 
 
 def assign_singletons(partition: Partition, g: Graph) -> Partition:
     """Relabel cluster ids to a contiguous 0..k-1 range (membership unchanged)."""
     if len(partition.assignment) != g.n:
         raise ValueError("partition does not cover the graph")
-    uniq, compact = np.unique(partition.assignment, return_inverse=True)
-    out = Partition(compact, k=len(uniq))
-    out.validate()
-    return out
+    return Partition.compact(partition.assignment)

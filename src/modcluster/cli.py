@@ -1,60 +1,64 @@
 """Command-line interface: train / eval / generate / scaling.
 
-Every flag can also come from a JSON config file (--config); explicit flags
-win over the file, which wins over built-in defaults.
+Every train flag can also come from a JSON config file (--config), keyed by
+its dest name; explicit flags win over the file, which wins over the
+RunConfig defaults. A key that names no flag is an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .pipeline import RunConfig, cmd_eval, cmd_generate, cmd_scaling, cmd_train
 
-TRAIN_DEFAULTS = {
-    "labels": None,
-    "partition": None,
-    "pairs": None,
-    "dims": "256,128,64",
-    "epochs": 300,
-    "lr": 0.001,
-    "lam": 0.0,
-    "alpha": 0.0,
-    "aux_mode": "none",
-    "label_fraction": 1.0,
-    "birch_threshold": 0.5,
-    "branching": 50,
-    "seeds": ",".join(str(s) for s in range(10)),
-    "out": "runs/latest",
-    "run_id": "run",
-    "f1_sample": 1000,
+# train flags whose RunConfig field has another name; every other flag
+# (and JSON key) is named after its field
+FLAG_FIELDS = {
+    "dims": "hidden_dims",
+    "lr": "learning_rate",
+    "branching": "branching_factor",
+    "out": "out_dir",
+    "f1_sample": "f1_sample_size",
 }
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in str(text).split(",") if p != ""]
+def _parse_int_list(value) -> list[int]:
+    parts = value if isinstance(value, list) else str(value).split(",")
+    return [int(p) for p in parts if p != ""]
 
 
-def _resolve(args: argparse.Namespace, key: str, defaults: dict):
-    """Flag value if given, else JSON config value, else the built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if getattr(args, "_config_data", None) and key in args._config_data:
-        return args._config_data[key]
-    return defaults[key]
+_COERCE = {"int": int, "float": float, "list[int]": _parse_int_list}
 
 
-def _load_config_file(args: argparse.Namespace) -> None:
-    args._config_data = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            args._config_data = json.load(fh)
+def _train_config(args: argparse.Namespace) -> RunConfig:
+    """RunConfig from the given flags, else the --config JSON values, else
+    the RunConfig defaults."""
+    given = vars(args)
+    path = given.pop("config", None)
+    values = {}
+    if path:
+        with open(path) as fh:
+            values = json.load(fh)
+    values.update(given)
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    fields = {}
+    for key, value in values.items():
+        name = FLAG_FIELDS.get(key, key)
+        if name not in types or key in FLAG_FIELDS.values():
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        fields[name] = _COERCE.get(types[name], lambda v: v)(value)
+    return RunConfig(**fields)
 
 
 def _add_train_parser(sub) -> None:
-    p = sub.add_parser("train", help="train models and cluster the embeddings")
+    p = sub.add_parser(
+        "train",
+        help="train models and cluster the embeddings",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--config", help="JSON file with any of the train options")
     p.add_argument("--edges", help="edge list TSV (required)")
     p.add_argument("--features", help="feature matrix TSV (required)")
@@ -86,34 +90,10 @@ def _add_train_parser(sub) -> None:
 
 
 def _run_train(args: argparse.Namespace) -> int:
-    _load_config_file(args)
-    get = lambda key: _resolve(args, key, TRAIN_DEFAULTS)
-    edges = _resolve(args, "edges", {"edges": None})
-    features = _resolve(args, "features", {"features": None})
-    if not edges or not features:
+    config = _train_config(args)
+    if not config.edges or not config.features:
         print("train: --edges and --features are required", file=sys.stderr)
         return 2
-    seeds = get("seeds")
-    config = RunConfig(
-        edges=edges,
-        features=features,
-        labels=get("labels"),
-        partition=get("partition"),
-        pairs=get("pairs"),
-        hidden_dims=_parse_int_list(get("dims")),
-        epochs=int(get("epochs")),
-        learning_rate=float(get("lr")),
-        lam=float(get("lam")),
-        alpha=float(get("alpha")),
-        aux_mode=get("aux_mode"),
-        label_fraction=float(get("label_fraction")),
-        birch_threshold=float(get("birch_threshold")),
-        branching_factor=int(get("branching")),
-        seeds=seeds if isinstance(seeds, list) else _parse_int_list(seeds),
-        out_dir=get("out"),
-        run_id=get("run_id"),
-        f1_sample_size=int(get("f1_sample")),
-    )
     artifacts = cmd_train(config)
     ok = [r for r in artifacts.results if r.report is not None]
     print(f"run {config.run_id}: {len(ok)}/{len(config.seeds)} seeds finished")
@@ -130,16 +110,7 @@ def _run_train(args: argparse.Namespace) -> int:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
-    report = cmd_eval(
-        args.checkpoint,
-        args.edges,
-        args.features,
-        labels_path=args.labels,
-        birch_threshold=args.birch_threshold,
-        branching_factor=args.branching,
-        f1_sample_size=args.f1_sample,
-        seed=args.seed,
-    )
+    report = cmd_eval(**vars(args))
     print(f"k_found: {report.k_found}")
     print(f"Q: {100 * report.q:.1f}")
     print(f"C: {100 * report.conductance:.1f}")
@@ -169,7 +140,7 @@ def _run_scaling(args: argparse.Namespace) -> int:
         _parse_int_list(args.sizes),
         args.out,
         seed=args.seed,
-        hidden_dims=_parse_int_list(args.dims),
+        hidden_dims=args.dims,
         epochs_timed=args.epochs,
     )
     for n, _, sec in rows:
@@ -189,15 +160,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_train_parser(sub)
 
-    p = sub.add_parser("eval", help="cluster and score a dataset with a saved model")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels")
-    p.add_argument("--birch-threshold", dest="birch_threshold", type=float, default=0.5)
-    p.add_argument("--branching", type=int, default=50)
-    p.add_argument("--f1-sample", dest="f1_sample", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0, help="seed for F1 sampling")
+    p = sub.add_parser(
+        "eval",
+        help="cluster and score a dataset with a saved model",
+        argument_default=argparse.SUPPRESS,
+    )
+    p.add_argument("--checkpoint", dest="checkpoint_path", required=True)
+    p.add_argument("--edges", dest="edges_path", required=True)
+    p.add_argument("--features", dest="features_path", required=True)
+    p.add_argument("--labels", dest="labels_path")
+    p.add_argument("--birch-threshold", dest="birch_threshold", type=float)
+    p.add_argument("--branching", dest="branching_factor", type=int)
+    p.add_argument("--f1-sample", dest="f1_sample_size", type=int)
+    p.add_argument("--seed", type=int, help="seed for F1 sampling")
 
     p = sub.add_parser("generate", help="write a synthetic SBM dataset")
     p.add_argument("--blocks", required=True, help="comma-separated block sizes")
@@ -211,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated ascending node counts")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", default="256,128,64")
+    p.add_argument("--dims", type=_parse_int_list, help="hidden sizes (train's default)")
     p.add_argument("--epochs", type=int, default=3, help="timed epochs per size")
     return parser
 
@@ -224,7 +199,7 @@ def main(argv=None) -> int:
         "generate": _run_generate,
         "scaling": _run_scaling,
     }
-    return handlers[args.command](args)
+    return handlers[vars(args).pop("command")](args)
 
 
 if __name__ == "__main__":

@@ -25,12 +25,16 @@ DEGENERATE_NORM_EPS = 1e-12
 CHECKPOINT_HEADER = "#gcn-checkpoint v1"
 
 
+class DivergenceError(ValueError):
+    """A non-finite activation, gradient or loss: the seed cannot continue."""
+
+
 def selu(x):
     """Scaled exponential linear unit, elementwise."""
-    arr = np.asarray(x, dtype=np.float64)
-    neg = SELU_SCALE * SELU_ALPHA * np.expm1(np.minimum(arr, 0.0))
-    out = np.where(arr >= 0.0, SELU_SCALE * arr, neg)
-    return float(out) if np.ndim(x) == 0 else out
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(
+        x >= 0.0, SELU_SCALE * x, SELU_SCALE * SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
+    )
 
 
 def _selu_grad(x: np.ndarray) -> np.ndarray:
@@ -111,7 +115,7 @@ def gcn_forward(
         pre = ah @ w
         out = selu(pre)
         if not np.all(np.isfinite(out)):
-            raise ValueError(f"non-finite activation in layer {layer}")
+            raise DivergenceError(f"non-finite activation in layer {layer}")
         if tape is not None:
             tape.layer_inputs.append(h)
             tape.aggregated.append(ah)
@@ -231,9 +235,7 @@ def init_adam(model: GcnModel, learning_rate: float = 0.001) -> AdamState:
     )
 
 
-def adam_step(
-    model: GcnModel, grads: list[np.ndarray], state: AdamState
-) -> tuple[GcnModel, AdamState]:
+def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState) -> None:
     """One bias-corrected Adam update; weights are updated in place."""
     if len(grads) != len(model.weights):
         raise ValueError("gradient count does not match weight count")
@@ -243,13 +245,12 @@ def adam_step(
         if g.shape != w.shape:
             raise ValueError(f"gradient shape mismatch at layer {i}")
         if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient at layer {i}")
+            raise DivergenceError(f"non-finite gradient at layer {i}")
         state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
         state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
         m_hat = state.m[i] / (1.0 - state.beta1**t)
         v_hat = state.v[i] / (1.0 - state.beta2**t)
         w -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    return model, state
 
 
 def save_checkpoint(path, model: GcnModel) -> None:

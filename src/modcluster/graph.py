@@ -121,13 +121,20 @@ class Partition:
         if self.k == 0:
             self.k = int(self.assignment.max()) + 1 if len(self.assignment) else 0
 
+    @classmethod
+    def compact(cls, ids) -> "Partition":
+        """Renumber arbitrary integer ids to 0..k-1 in ascending id order."""
+        uniq, assignment = np.unique(ids, return_inverse=True)
+        p = cls(assignment, k=len(uniq))
+        p.validate()
+        return p
+
     def validate(self) -> None:
         if len(self.assignment) == 0:
             raise ValueError("empty partition")
-        counts = np.bincount(self.assignment, minlength=self.k)
         if self.assignment.min() < 0 or self.assignment.max() >= self.k:
             raise ValueError("cluster ids out of range [0, k)")
-        if len(counts) != self.k or np.any(counts == 0):
+        if np.any(np.bincount(self.assignment, minlength=self.k) == 0):
             raise ValueError("empty cluster in partition")
 
     def sizes(self) -> np.ndarray:
@@ -159,16 +166,17 @@ def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
 
     Lines are ``u v`` with 0-based ids. Duplicate directions and self-loops
     are dropped. When ``num_nodes`` is omitted it is inferred as max id + 1.
+    A file without edges is rejected: modularity needs m > 0.
     """
     pairs, linenos = _parse_int_pairs(edge_path)
-    if len(pairs) and pairs.min() < 0:
+    if len(pairs) == 0:
+        raise ValueError(f"{edge_path}: empty edge file")
+    if pairs.min() < 0:
         bad = int(np.argmax((pairs < 0).any(axis=1)))
         raise ValueError(f"{edge_path}:{linenos[bad]}: negative node id")
     if num_nodes is None:
-        if len(pairs) == 0:
-            raise ValueError(f"{edge_path}: empty edge file and no num_nodes given")
         num_nodes = int(pairs.max()) + 1
-    elif len(pairs) and pairs.max() >= num_nodes:
+    elif pairs.max() >= num_nodes:
         bad = int(np.argmax((pairs >= num_nodes).any(axis=1)))
         raise ValueError(
             f"{edge_path}:{linenos[bad]}: node id >= num_nodes ({num_nodes})"
@@ -176,11 +184,12 @@ def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
     return from_edges(pairs, num_nodes)
 
 
-def load_features(path, n: int) -> np.ndarray:
+def load_features(path, n: int | None = None) -> np.ndarray:
     """Load a dense n-by-r feature matrix.
 
     Either one dense whitespace-separated row per node, or a header line
-    ``sparse n r`` followed by ``i j value`` triplets.
+    ``sparse n r`` followed by ``i j value`` triplets. When ``n`` is omitted
+    it is taken from the row count or the sparse header.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -190,8 +199,9 @@ def load_features(path, n: int) -> np.ndarray:
             if len(parts) != 3:
                 raise ValueError(f"{path}:1: sparse header must be 'sparse n r'")
             n_file, r = int(parts[1]), int(parts[2])
-            if n_file != n:
+            if n is not None and n_file != n:
                 raise ValueError(f"{path}: sparse header n={n_file}, expected {n}")
+            n = n_file
             data = np.zeros((n, r), dtype=np.float64)
             for lineno, line in enumerate(fh, start=2):
                 text = line.split("#", 1)[0].strip()
@@ -211,8 +221,10 @@ def load_features(path, n: int) -> np.ndarray:
                 if not text:
                     continue
                 rows.append(np.array(text.split(), dtype=np.float64))
-            if len(rows) != n:
+            if n is not None and len(rows) != n:
                 raise ValueError(f"{path}: {len(rows)} feature rows, expected {n}")
+            if not rows:
+                raise ValueError(f"{path}: no feature rows")
             widths = {len(r_) for r_ in rows}
             if len(widths) != 1:
                 raise ValueError(f"{path}: inconsistent row widths {sorted(widths)}")
@@ -282,10 +294,7 @@ def load_partition(path, n: int) -> Partition:
     if np.any(ids == UNLABELED):
         missing = int(np.argmax(ids == UNLABELED))
         raise ValueError(f"{path}: node {missing} has no cluster id")
-    uniq, compact = np.unique(ids, return_inverse=True)
-    p = Partition(compact, k=len(uniq))
-    p.validate()
-    return p
+    return Partition.compact(ids)
 
 
 def generate_sbm(

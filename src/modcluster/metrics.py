@@ -23,8 +23,13 @@ class MetricsReport:
     f1: float | None = None
 
 
-def _directed_sources(g: Graph) -> np.ndarray:
-    return np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+def _edge_ends(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Per cluster, the directed edge ends inside it and the ends cut from it."""
+    if len(p.assignment) != g.n:
+        raise ValueError("partition does not cover the graph")
+    src = p.assignment[np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)]
+    same = src == p.assignment[g.col_indices]
+    return np.bincount(src[same], minlength=p.k), np.bincount(src[~same], minlength=p.k)
 
 
 def modularity(g: Graph, p: Partition) -> float:
@@ -33,13 +38,9 @@ def modularity(g: Graph, p: Partition) -> float:
     Q = sum_c [ m_c / m - (D_c / 2m)^2 ], equal to the pairwise
     (A_ij - d_i d_j / 2m) delta(c_i, c_j) double sum.
     """
-    if len(p.assignment) != g.n:
-        raise ValueError("partition does not cover the graph")
+    internal_directed, _ = _edge_ends(g, p)
     if g.m == 0:
         raise ValueError("modularity is undefined for an edgeless graph (m=0)")
-    src = _directed_sources(g)
-    same = p.assignment[src] == p.assignment[g.col_indices]
-    internal_directed = np.bincount(p.assignment[src[same]], minlength=p.k)
     degree_sums = np.bincount(p.assignment, weights=g.degrees, minlength=p.k)
     two_m = 2.0 * g.m
     return float(np.sum(internal_directed / two_m - (degree_sums / two_m) ** 2))
@@ -50,12 +51,7 @@ def conductance(g: Graph, p: Partition) -> float:
 
     A cluster with zero volume contributes 0, with a warning.
     """
-    if len(p.assignment) != g.n:
-        raise ValueError("partition does not cover the graph")
-    src = _directed_sources(g)
-    same = p.assignment[src] == p.assignment[g.col_indices]
-    internal_directed = np.bincount(p.assignment[src[same]], minlength=p.k)
-    cut = np.bincount(p.assignment[src[~same]], minlength=p.k)
+    internal_directed, cut = _edge_ends(g, p)
     volume = internal_directed + cut
     phi = np.zeros(p.k, dtype=np.float64)
     positive = volume > 0

@@ -46,6 +46,12 @@ class TestLoadGraph:
         with pytest.raises(ValueError, match="num_nodes"):
             mc.load_graph(path, num_nodes=3)
 
+    def test_empty_file_rejected(self, tmp_path):
+        # train and eval pass n from the features file, so n alone is no excuse
+        path = write(tmp_path, "edges.tsv", "# no edges\n")
+        with pytest.raises(ValueError, match="edges.tsv: empty edge file"):
+            mc.load_graph(path, num_nodes=3)
+
     def test_isolated_nodes_kept(self, tmp_path):
         path = write(tmp_path, "edges.tsv", "0 1\n")
         g = mc.load_graph(path, num_nodes=4)
@@ -198,7 +204,12 @@ def test_partition_round_trip(tmp_path):
     assert loaded.k == 3
 
 
-def test_partition_validate_rejects_gaps():
-    part = mc.Partition(np.array([0, 2, 2]), k=3)
-    with pytest.raises(ValueError, match="empty cluster"):
+@pytest.mark.parametrize(
+    "ids, message",
+    [([0, 2, 2], "empty cluster"), ([0, -1, 1], "out of range")],
+    ids=["gap", "negative"],
+)
+def test_partition_validate_rejects_gaps(ids, message):
+    part = mc.Partition(np.array(ids), k=3)
+    with pytest.raises(ValueError, match=message):
         part.validate()

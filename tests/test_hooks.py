@@ -1,0 +1,76 @@
+"""The call-time hooks that the benchmark in perfbench/ relies on.
+
+The benchmark never edits the package: it swaps module attributes for
+wrappers while a command runs. These tests pin what that needs: the
+epoch's Adam step and the BIRCH fit are looked up through module
+attributes, ``AdamState.step`` counts the steps, and ``CfTree.leaf_entries``
+takes only the tree, so a one-argument wrapper can replace it.
+"""
+
+import inspect
+import sys
+
+import numpy as np
+import pytest
+
+import modcluster as mc
+from modcluster import birch, gcn, pipeline
+
+
+def wrap_everywhere(monkeypatch, module, attr):
+    """Replace ``module.attr`` in every package module holding it with a
+    wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, attr)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("modcluster.") and getattr(mod, attr, None) is original:
+            monkeypatch.setattr(mod, attr, recorded)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def sbm():
+    g, planted, features = pipeline.sbm_dataset([15, 15], 0.5, 0.05, seed=2)
+    return g, mc.normalized_adjacency(g), features, planted.assignment
+
+
+def test_train_single_seed_signature():
+    params = list(inspect.signature(pipeline.train_single_seed).parameters)
+    assert params == ["g", "a_norm", "features", "config", "seed", "labels"]
+
+
+def test_epoch_and_fit_hooks_see_every_call(sbm, monkeypatch):
+    g, a_norm, features, labels = sbm
+    adam_calls = wrap_everywhere(monkeypatch, gcn, "adam_step")
+    forward_calls = wrap_everywhere(monkeypatch, gcn, "gcn_forward")
+    fit_calls = wrap_everywhere(monkeypatch, birch, "birch_fit")
+    config = mc.RunConfig(hidden_dims=[8, 4], epochs=3)
+    pipeline.train_single_seed(g, a_norm, features, config, 0, labels)
+    assert len(adam_calls) == 3
+    assert adam_calls[-1][2].step == 3  # the AdamState the benchmark reads
+    assert len(forward_calls) == 4  # three epochs plus the inference pass
+    assert len(fit_calls) == 1
+
+
+def test_one_argument_leaf_entries_wrapper(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = mc.transform_embeddings(rng.normal(0, 1, (150, 5)))
+    params = mc.BirchParams(threshold=0.1, branching_factor=3)
+    expected = mc.birch_fit(x, params)
+    original = birch.CfTree.leaf_entries
+    seen = []
+
+    def counted(tree):
+        entries = list(original(tree))
+        seen.append(len(entries))
+        return iter(entries)
+
+    monkeypatch.setattr(birch.CfTree, "leaf_entries", counted)
+    got = mc.birch_fit(x, params)
+    assert np.array_equal(got.assignment, expected.assignment)
+    assert seen and seen[0] >= got.k > 3

@@ -209,11 +209,14 @@ class TestCmdTrain:
             assert row[7] == "" and row[8] == ""
             assert row[5] != ""  # Q still reported
 
-    def test_isolated_node_survives_training(self, tmp_path):
-        # node 0 appears in no edge line: it stays isolated but inside n
+    @pytest.mark.parametrize("isolated", ["first", "last"])
+    def test_isolated_node_survives_training(self, tmp_path, isolated):
+        # the first or last node appears in no edge line: it stays isolated
+        # but inside n, which comes from the features file
         g, planted = mc.generate_sbm([12, 12], 0.6, 0.1, seed=4)
+        shift = 1 if isolated == "first" else 0
         lines = [
-            f"{u + 1}\t{v + 1}"
+            f"{u + shift}\t{v + shift}"
             for u in range(g.n)
             for v in g.neighbors(u)
             if u < v
@@ -221,9 +224,8 @@ class TestCmdTrain:
         edges = tmp_path / "edges.tsv"
         edges.write_text("\n".join(lines) + "\n")
         rng = np.random.default_rng(0)
-        features = np.eye(2)[np.append(0, planted.assignment)] + rng.normal(
-            0, 1, (g.n + 1, 2)
-        )
+        blocks = np.insert(planted.assignment, 0 if shift else g.n, 0)
+        features = np.eye(2)[blocks] + rng.normal(0, 1, (g.n + 1, 2))
         np.savetxt(tmp_path / "features.tsv", features, fmt="%.17g", delimiter="\t")
         config = RunConfig(
             edges=str(edges),
@@ -260,6 +262,26 @@ class TestCmdTrain:
         with open(artifacts.metrics_path) as fh:
             rows = list(csv.reader(fh))
         assert [r[1] for r in rows[1:]] == ["1", "mean", "std"]
+
+    def test_nan_weight_ends_only_its_seed(self, small_dataset, tmp_path, monkeypatch):
+        import modcluster.gcn as gcn
+
+        out, _ = small_dataset
+        real = gcn.init_model
+
+        def poisoned(dims, seed):
+            model = real(dims, seed)
+            if seed == derive_seed(0, "init"):
+                model.weights[0][0, 0] = np.nan
+            return model
+
+        monkeypatch.setattr(gcn, "init_model", poisoned)
+        with pytest.warns(UserWarning, match="diverged"):
+            artifacts = cmd_train(small_config(out, tmp_path / "run"))
+        log = (artifacts.out_dir / "failures.log").read_text()
+        assert log == "seed 0: non-finite activation in layer 0\n"
+        assert not (artifacts.out_dir / "partition_seed0.tsv").exists()
+        assert (artifacts.out_dir / "partition_seed1.tsv").exists()
 
 
 class TestCmdEval:
@@ -388,6 +410,32 @@ class TestCli:
         ]) == 0
         assert (tmp_path / "cli_wins" / "metrics.csv").exists()
         assert not (tmp_path / "from_config").exists()
+
+    def test_json_config_rejects_unknown_key(self, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"epoch": 1}))
+        with pytest.raises(ValueError, match=r"run\.json: unknown config key 'epoch'"):
+            main(["train", "--config", str(config_path)])
+
+    def test_json_config_accepts_list_dims(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main([
+            "generate", "--blocks", "12,12", "--p-in", "0.5", "--p-out", "0.05",
+            "--seed", "1", "--out", str(data),
+        ])
+        config = {
+            "edges": str(data / "edges.tsv"),
+            "features": str(data / "features.tsv"),
+            "dims": [8, 4],
+            "epochs": 5,
+            "seeds": [0],
+            "out": str(tmp_path / "run"),
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 0
+        model = mc.load_checkpoint(tmp_path / "run" / "checkpoint_seed0.tsv")
+        assert model.layer_dims == [2, 8, 4]
 
     def test_scaling_subcommand(self, tmp_path, capsys):
         out_csv = tmp_path / "scaling.csv"
