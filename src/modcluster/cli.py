@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 
-from .pipeline import RunConfig, cmd_eval, cmd_generate, cmd_scaling, cmd_train
+from .pipeline import FEATURE_NOISE_STD, RunConfig, cmd_eval, cmd_generate, cmd_scaling, cmd_train
 
 # train flags whose RunConfig field has another name; every other flag
 # (and JSON key) is named after its field
@@ -92,8 +92,7 @@ def _add_train_parser(sub) -> None:
 def _run_train(args: argparse.Namespace) -> int:
     config = _train_config(args)
     if not config.edges or not config.features:
-        print("train: --edges and --features are required", file=sys.stderr)
-        return 2
+        raise ValueError("--edges and --features are required")
     artifacts = cmd_train(config)
     ok = [r for r in artifacts.results if r.report is not None]
     print(f"run {config.run_id}: {len(ok)}/{len(config.seeds)} seeds finished")
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-in", dest="p_in", type=float, required=True)
     p.add_argument("--p-out", dest="p_out", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=1.0, help="feature noise stddev")
+    p.add_argument("--noise", type=float, default=FEATURE_NOISE_STD, help="feature noise stddev")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("scaling", help="time per-epoch cost at increasing graph sizes")
@@ -192,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input or a missing file prints one line and returns 2."""
     args = build_parser().parse_args(argv)
     handlers = {
         "train": _run_train,
@@ -199,7 +199,12 @@ def main(argv=None) -> int:
         "generate": _run_generate,
         "scaling": _run_scaling,
     }
-    return handlers[vars(args).pop("command")](args)
+    command = vars(args).pop("command")
+    try:
+        return handlers[command](args)
+    except (OSError, ValueError) as exc:
+        print(f"modcluster {command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

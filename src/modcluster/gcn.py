@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .graph import parse_line
+
 # full-precision self-normalizing constants; rounded values break convergence
 SELU_SCALE = 1.0507009873554804
 SELU_ALPHA = 1.6732632423543772
@@ -23,6 +25,11 @@ ROW_SUM_EPS = 1e-8
 DEGENERATE_NORM_EPS = 1e-12
 
 CHECKPOINT_HEADER = "#gcn-checkpoint v1"
+
+LEARNING_RATE = 0.001
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(ValueError):
@@ -50,13 +57,6 @@ class GcnModel:
     layer_dims: list[int]
     weights: list[np.ndarray]
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.weights)
-
-    def copy(self) -> "GcnModel":
-        return GcnModel(list(self.layer_dims), [w.copy() for w in self.weights])
-
 
 def init_model(layer_dims: list[int], seed: int) -> GcnModel:
     """Glorot-uniform initialization, deterministic per seed."""
@@ -77,7 +77,6 @@ class GradientTape:
     """Intermediates recorded by gcn_forward/transform_embeddings for backward."""
 
     a_norm: sp.csr_matrix | None = None
-    layer_inputs: list[np.ndarray] = field(default_factory=list)
     aggregated: list[np.ndarray] = field(default_factory=list)
     preacts: list[np.ndarray] = field(default_factory=list)
     weights: list[np.ndarray] = field(default_factory=list)
@@ -105,7 +104,6 @@ def gcn_forward(
         )
     if tape is not None:
         tape.a_norm = a_norm
-        tape.layer_inputs.clear()
         tape.aggregated.clear()
         tape.preacts.clear()
         tape.weights = model.weights
@@ -117,7 +115,6 @@ def gcn_forward(
         if not np.all(np.isfinite(out)):
             raise DivergenceError(f"non-finite activation in layer {layer}")
         if tape is not None:
-            tape.layer_inputs.append(h)
             tape.aggregated.append(ah)
             tape.preacts.append(pre)
         h = out
@@ -218,16 +215,13 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
 class AdamState:
     """First/second moment accumulators plus step count for Adam."""
 
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    learning_rate: float = LEARNING_RATE
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def init_adam(model: GcnModel, learning_rate: float = 0.001) -> AdamState:
+def init_adam(model: GcnModel, learning_rate: float = LEARNING_RATE) -> AdamState:
     return AdamState(
         learning_rate=learning_rate,
         m=[np.zeros_like(w) for w in model.weights],
@@ -246,11 +240,11 @@ def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState) -> Non
             raise ValueError(f"gradient shape mismatch at layer {i}")
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient at layer {i}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / (1.0 - state.beta1**t)
-        v_hat = state.v[i] / (1.0 - state.beta2**t)
-        w -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1**t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2**t)
+        w -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def save_checkpoint(path, model: GcnModel) -> None:
@@ -272,18 +266,20 @@ def load_checkpoint(path) -> GcnModel:
         dims_line = fh.readline().split()
         if not dims_line or dims_line[0] != "dims":
             raise ValueError(f"{path}: missing dims line")
-        dims = [int(d) for d in dims_line[1:]]
+        dims = parse_line(path, 2, lambda: [int(d) for d in dims_line[1:]])
         if len(dims) < 2:
             raise ValueError(f"{path}: dims line must list at least two sizes")
         weights = []
+        lineno = 2
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             rows = []
             for _ in range(fan_in):
                 line = fh.readline()
+                lineno += 1
                 if not line:
                     raise ValueError(f"{path}: truncated checkpoint")
-                rows.append(np.array(line.split(), dtype=np.float64))
+                rows.append(parse_line(path, lineno, lambda: np.array(line.split(), float)))
                 if len(rows[-1]) != fan_out:
-                    raise ValueError(f"{path}: weight row width != {fan_out}")
+                    raise ValueError(f"{path}:{lineno}: weight row width != {fan_out}")
             weights.append(np.vstack(rows))
     return GcnModel(dims, weights)

@@ -1,4 +1,4 @@
-"""Immutable CSR graph representation, dataset I/O, and synthetic graph generation.
+"""Immutable sparse-adjacency graph, dataset I/O, and synthetic graph generation.
 
 The on-disk formats are plain whitespace/tab-separated text so that datasets
 can be produced from any source:
@@ -23,49 +23,40 @@ UNLABELED = -1
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph in compressed sparse row form.
+    """Undirected simple graph: its symmetric 0/1 adjacency in scipy CSR.
 
-    Each undirected edge is stored in both directions; ``m`` counts
-    undirected edges, so ``sum(degrees) == 2 * m``.
+    ``adj`` is canonical (sorted indices, no duplicate entries), stores 1.0
+    per entry and has an empty diagonal. Each undirected edge is stored in
+    both directions; ``m`` counts undirected edges, so ``sum(degrees) == 2 * m``.
     """
 
-    n: int
-    m: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    degrees: np.ndarray
+    adj: sp.csr_matrix
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.adj.nnz // 2
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.adj.indptr)
 
     def validate(self) -> None:
-        if self.row_offsets.shape != (self.n + 1,):
-            raise ValueError("row_offsets length must be n + 1")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != len(self.col_indices):
-            raise ValueError("row_offsets do not span col_indices")
-        deg = np.diff(self.row_offsets)
-        if not np.array_equal(deg, self.degrees):
-            raise ValueError("degrees inconsistent with row_offsets")
-        if int(self.degrees.sum()) != 2 * self.m:
-            raise ValueError("degree sum != 2m")
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        if np.any(src == self.col_indices):
+        adj = self.adj
+        if not adj.has_canonical_format:
+            raise ValueError("adjacency is not canonical (unsorted or duplicate entries)")
+        if np.any(adj.data != 1.0):
+            raise ValueError("adjacency entries must be 1")
+        if np.any(adj.diagonal()):
             raise ValueError("self-loop present")
-        # entries are row-major sorted, so duplicates would be adjacent
-        if len(src) > 1:
-            dup = (src[1:] == src[:-1]) & (self.col_indices[1:] == self.col_indices[:-1])
-            if np.any(dup):
-                raise ValueError("duplicate edge entry present")
-        adj = self.adjacency()
         if (adj != adj.T).nnz != 0:
             raise ValueError("adjacency is not symmetric")
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric 0/1 adjacency matrix as scipy CSR."""
-        data = np.ones(len(self.col_indices), dtype=np.float64)
-        return sp.csr_matrix(
-            (data, self.col_indices, self.row_offsets), shape=(self.n, self.n)
-        )
-
     def neighbors(self, u: int) -> np.ndarray:
-        return self.col_indices[self.row_offsets[u] : self.row_offsets[u + 1]]
+        return self.adj.indices[self.adj.indptr[u] : self.adj.indptr[u + 1]]
 
 
 def from_edges(edges: np.ndarray, num_nodes: int) -> Graph:
@@ -75,36 +66,15 @@ def from_edges(edges: np.ndarray, num_nodes: int) -> Graph:
     formulas downstream are exact.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(edges) > 0:
-        keep = edges[:, 0] != edges[:, 1]
-        edges = edges[keep]
-    if len(edges) == 0:
-        row_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        return Graph(
-            n=num_nodes,
-            m=0,
-            row_offsets=row_offsets,
-            col_indices=np.zeros(0, dtype=np.int64),
-            degrees=np.zeros(num_nodes, dtype=np.int64),
-        )
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    und = np.unique(lo * np.int64(num_nodes) + hi)
-    lo, hi = und // num_nodes, und % num_nodes
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    degrees = np.bincount(src, minlength=num_nodes).astype(np.int64)
-    row_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(degrees, out=row_offsets[1:])
-    g = Graph(
-        n=num_nodes,
-        m=len(und),
-        row_offsets=row_offsets,
-        col_indices=dst,
-        degrees=degrees,
-    )
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    adj = sp.coo_matrix(
+        (np.ones(len(src)), (src, dst)), shape=(num_nodes, num_nodes)
+    ).tocsr()
+    adj.sum_duplicates()
+    adj.data[:] = 1.0
+    g = Graph(adj)
     g.validate()
     return g
 
@@ -141,6 +111,15 @@ class Partition:
         return np.bincount(self.assignment, minlength=self.k)
 
 
+def parse_line(path, lineno: int, convert):
+    """``convert()`` of one text line's fields; a non-numeric field raises a
+    ValueError naming ``path:lineno``."""
+    try:
+        return convert()
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: non-numeric field") from None
+
+
 def _parse_int_pairs(path) -> tuple[np.ndarray, list[int]]:
     """Read whitespace-separated integer pairs, skipping blanks and # comments."""
     pairs = []
@@ -153,10 +132,7 @@ def _parse_int_pairs(path) -> tuple[np.ndarray, list[int]]:
             parts = text.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two fields, got {len(parts)}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer field") from None
+            pairs.append(parse_line(path, lineno, lambda: (int(parts[0]), int(parts[1]))))
             linenos.append(lineno)
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), linenos
 
@@ -198,7 +174,7 @@ def load_features(path, n: int | None = None) -> np.ndarray:
             parts = head.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:1: sparse header must be 'sparse n r'")
-            n_file, r = int(parts[1]), int(parts[2])
+            n_file, r = parse_line(path, 1, lambda: (int(parts[1]), int(parts[2])))
             if n is not None and n_file != n:
                 raise ValueError(f"{path}: sparse header n={n_file}, expected {n}")
             n = n_file
@@ -210,17 +186,19 @@ def load_features(path, n: int | None = None) -> np.ndarray:
                 parts = text.split()
                 if len(parts) != 3:
                     raise ValueError(f"{path}:{lineno}: expected 'i j value'")
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+                i, j, v = parse_line(
+                    path, lineno, lambda: (int(parts[0]), int(parts[1]), float(parts[2]))
+                )
                 if not (0 <= i < n and 0 <= j < r):
                     raise ValueError(f"{path}:{lineno}: index out of range")
                 data[i, j] = v
         else:
-            rows = [] if not head else [np.array(head.split(), dtype=np.float64)]
-            for line in fh:
+            fh.seek(0)
+            rows = []
+            for lineno, line in enumerate(fh, start=1):
                 text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                rows.append(np.array(text.split(), dtype=np.float64))
+                if text:
+                    rows.append(parse_line(path, lineno, lambda: np.array(text.split(), float)))
             if n is not None and len(rows) != n:
                 raise ValueError(f"{path}: {len(rows)} feature rows, expected {n}")
             if not rows:
@@ -270,12 +248,9 @@ def write_labels(path, labels: np.ndarray) -> None:
 
 
 def write_edges(path, g: Graph) -> None:
-    """Write each undirected edge once as ``u<TAB>v`` with u < v."""
-    with open(path, "w") as fh:
-        for u in range(g.n):
-            for v in g.neighbors(u):
-                if u < v:
-                    fh.write(f"{u}\t{int(v)}\n")
+    """Write each undirected edge once as ``u<TAB>v`` with u < v, in (u, v) order."""
+    upper = sp.triu(g.adj, k=1, format="csr").tocoo()
+    np.savetxt(path, np.column_stack([upper.row, upper.col]), fmt="%d", delimiter="\t")
 
 
 def write_features(path, features: np.ndarray) -> None:
@@ -368,6 +343,5 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
         )
     inv_sqrt = np.zeros_like(deg)
     inv_sqrt[~isolated] = 1.0 / np.sqrt(deg[~isolated])
-    adj = g.adjacency()
     d_inv = sp.diags(inv_sqrt)
-    return (d_inv @ adj @ d_inv).tocsr()
+    return (d_inv @ g.adj @ d_inv).tocsr()

@@ -87,8 +87,7 @@ def modularity_loss(x: np.ndarray, g: Graph) -> tuple[float, np.ndarray]:
     if g.m == 0:
         raise ValueError("modularity is undefined for an edgeless graph (m=0)")
     two_m = 2.0 * g.m
-    adj = g.adjacency()
-    ax = adj @ x
+    ax = g.adj @ x
     d = g.degrees.astype(np.float64)
     dtx = x.T @ d
     value = -(float(np.sum(x * ax)) - float(dtx @ dtx) / two_m) / two_m

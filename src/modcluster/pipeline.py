@@ -52,6 +52,8 @@ from .metrics import MetricsReport, evaluate
 
 _ROLES = {"init": 0, "sbm": 1, "f1": 2, "aux": 3, "features": 4}
 
+FEATURE_NOISE_STD = 1.0
+
 
 def derive_seed(seed: int, role: str) -> int:
     """Fixed splitting rule: sub-seed = SeedSequence([seed, role_code])."""
@@ -67,7 +69,7 @@ class RunConfig:
     pairs: str | None = None  # same-cluster pair file for aux_mode="pairs"
     hidden_dims: list[int] = field(default_factory=lambda: [256, 128, 64])
     epochs: int = 300
-    learning_rate: float = 0.001
+    learning_rate: float = gcn.LEARNING_RATE
     lam: float = 0.0
     alpha: float = 0.0
     aux_mode: str = "none"  # none | labels | pairs | external-partition
@@ -330,7 +332,7 @@ def cmd_eval(
 
 
 def sbm_dataset(
-    block_sizes: list[int], p_in: float, p_out: float, seed: int, noise_std: float = 1.0
+    block_sizes: list[int], p_in: float, p_out: float, seed: int, noise_std: float = FEATURE_NOISE_STD
 ) -> tuple[Graph, Partition, np.ndarray]:
     """An SBM graph, its planted partition, and features made of one-hot
     block membership plus Gaussian noise."""
@@ -347,7 +349,7 @@ def cmd_generate(
     p_out: float,
     seed: int,
     out_dir,
-    noise_std: float = 1.0,
+    noise_std: float = FEATURE_NOISE_STD,
 ) -> dict:
     """Write an SBM dataset (see sbm_dataset): edges.tsv, features.tsv, and
     labels.tsv holding the planted blocks."""

@@ -17,6 +17,16 @@ def dense_adjacency(g) -> np.ndarray:
     return a
 
 
+def dense_adjacency_from_edges(edges, n: int) -> np.ndarray:
+    """Symmetric 0/1 adjacency of an edge list: self-loops dropped, each
+    unordered pair kept once."""
+    pairs = {(min(u, v), max(u, v)) for u, v in edges if u != v}
+    a = np.zeros((n, n))
+    for u, v in pairs:
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
 def modularity_double_sum(a: np.ndarray, assignment: np.ndarray) -> float:
     """Literal pairwise 'edge minus degree-product expectation' sum."""
     n = a.shape[0]

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modcluster as mc
-from reference import dense_adjacency
+from reference import dense_adjacency, dense_adjacency_from_edges
 
 
 def write(tmp_path, name, text):
@@ -129,8 +130,8 @@ class TestGenerateSbm:
     def test_deterministic(self):
         g1, _ = mc.generate_sbm([30, 30], 0.2, 0.05, seed=9)
         g2, _ = mc.generate_sbm([30, 30], 0.2, 0.05, seed=9)
-        assert np.array_equal(g1.col_indices, g2.col_indices)
-        assert np.array_equal(g1.row_offsets, g2.row_offsets)
+        assert np.array_equal(g1.adj.indices, g2.adj.indices)
+        assert np.array_equal(g1.adj.indptr, g2.adj.indptr)
 
     def test_invalid_probabilities(self):
         with pytest.raises(ValueError):
@@ -193,6 +194,41 @@ def test_from_edges_invariants(edges):
     g = from_edges(np.array(edges, dtype=np.int64).reshape(-1, 2), 10)
     g.validate()  # symmetry, degree sums, no self-loops, no duplicates
     assert int(g.degrees.sum()) == 2 * g.m
+    assert np.array_equal(g.adj.toarray(), dense_adjacency_from_edges(edges, 10))
+
+
+@pytest.mark.parametrize(
+    "adj, message",
+    [
+        (sp.csr_matrix([[1.0, 1.0], [1.0, 0.0]]), "self-loop"),
+        (sp.csr_matrix([[0.0, 1.0], [0.0, 0.0]]), "not symmetric"),
+        (sp.csr_matrix([[0.0, 2.0], [2.0, 0.0]]), "must be 1"),
+        (
+            sp.csr_matrix(([1.0, 1.0, 1.0], [1, 1, 0], [0, 2, 3]), shape=(2, 2)),
+            "not canonical",
+        ),
+    ],
+    ids=["self-loop", "asymmetric", "weight-2", "duplicate-entry"],
+)
+def test_validate_rejects_malformed_adjacency(adj, message):
+    with pytest.raises(ValueError, match=message):
+        mc.Graph(adj).validate()
+
+
+@pytest.mark.parametrize(
+    "loader, text, line",
+    [
+        (mc.load_features, "1.0 2.0\n3.0 abc\n", 2),
+        (mc.load_features, "sparse 2 2\n0 1 1.0\n0 x 1.0\n", 3),
+        (mc.load_features, "sparse 2 two\n", 1),
+        (mc.load_checkpoint, "#gcn-checkpoint v1\ndims\t2 1\n0.5\nx\n", 4),
+    ],
+    ids=["dense-row", "sparse-triplet", "sparse-header", "checkpoint-row"],
+)
+def test_non_numeric_field_names_line(tmp_path, loader, text, line):
+    path = write(tmp_path, "input.tsv", text)
+    with pytest.raises(ValueError, match=f"input.tsv:{line}: non-numeric field"):
+        loader(path)
 
 
 def test_partition_round_trip(tmp_path):

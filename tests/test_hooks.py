@@ -3,8 +3,10 @@
 The benchmark never edits the package: it swaps module attributes for
 wrappers while a command runs. These tests pin what that needs: the
 epoch's Adam step and the BIRCH fit are looked up through module
-attributes, ``AdamState.step`` counts the steps, and ``CfTree.leaf_entries``
-takes only the tree, so a one-argument wrapper can replace it.
+attributes, ``AdamState.step`` counts the steps, ``CfTree.leaf_entries``
+takes only the tree, so a one-argument wrapper can replace it, a bare
+``GradientTape()`` records the transform's row masks, and the normalized
+adjacency is a matrix of its own.
 """
 
 import inspect
@@ -74,3 +76,18 @@ def test_one_argument_leaf_entries_wrapper(monkeypatch):
     got = mc.birch_fit(x, params)
     assert np.array_equal(got.assignment, expected.assignment)
     assert seen and seen[0] >= got.k > 3
+
+
+def test_tape_exposes_transform_masks():
+    tape = gcn.GradientTape()
+    with pytest.warns(UserWarning, match="near-zero"):
+        mc.transform_embeddings(np.array([[1.0, 2.0], [1.0, -1.0]]), tape)
+    assert tape.divided_mask.tolist() == [True, False]
+    assert tape.degenerate_mask.tolist() == [False, False]
+
+
+def test_normalized_adjacency_is_not_the_graph_matrix(sbm):
+    # the tracer swaps a_norm's class to time GCN SpMM; sharing g.adj would
+    # time the loss's A @ X as GCN work too
+    g = sbm[0]
+    assert mc.normalized_adjacency(g) is not g.adj

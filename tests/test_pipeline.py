@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -411,11 +412,43 @@ class TestCli:
         assert (tmp_path / "cli_wins" / "metrics.csv").exists()
         assert not (tmp_path / "from_config").exists()
 
-    def test_json_config_rejects_unknown_key(self, tmp_path):
+    def test_json_config_rejects_unknown_key(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"epoch": 1}))
-        with pytest.raises(ValueError, match=r"run\.json: unknown config key 'epoch'"):
-            main(["train", "--config", str(config_path)])
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert re.search(r"run\.json: unknown config key 'epoch'", capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("unknown-key", r"run\.json: unknown config key 'epoch'"),
+            ("comment-only-edges", r"edges\.tsv: empty edge file"),
+            ("missing-file", r"No such file or directory: '.*features\.tsv'"),
+        ],
+        ids=["unknown-key", "comment-only-edges", "missing-file"],
+    )
+    def test_bad_input_prints_one_line_and_exits_2(self, tmp_path, capsys, case, message):
+        data = tmp_path / "data"
+        main([
+            "generate", "--blocks", "6,6", "--p-in", "0.5", "--p-out", "0.1",
+            "--seed", "1", "--out", str(data),
+        ])
+        capsys.readouterr()
+        argv = ["train", "--edges", str(data / "edges.tsv"),
+                "--features", str(data / "features.tsv"), "--out", str(tmp_path / "run")]
+        if case == "unknown-key":
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps({"epoch": 1}))
+            argv += ["--config", str(config_path)]
+        elif case == "comment-only-edges":
+            (data / "edges.tsv").write_text("# no edges\n")
+        else:
+            (data / "features.tsv").unlink()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("modcluster train: ")
+        assert err.count("\n") == 1
+        assert re.search(message, err)
 
     def test_json_config_accepts_list_dims(self, tmp_path, capsys):
         data = tmp_path / "data"
