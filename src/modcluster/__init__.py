@@ -1,7 +1,7 @@
 """Attributed-graph clustering: a GCN trained to maximize soft modularity,
 with hard clusters extracted from the unit-sphere embeddings by BIRCH."""
 
-from .birch import BirchParams, CfTree, ClusteringFeature, assign_singletons, birch_fit
+from .birch import BirchParams, CfTree, birch_fit
 from .gcn import (
     AdamState,
     GcnModel,

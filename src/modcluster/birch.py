@@ -1,11 +1,13 @@
 """BIRCH clustering over embedding rows, without a preset cluster count.
 
-Points are inserted one at a time into a height-balanced CF-tree. Each leaf
-entry is a subcluster summarized by a clustering feature (count, linear sum,
-squared sum); a point is absorbed by the nearest leaf entry when the merged
-subcluster radius stays within the threshold, otherwise it opens a new entry.
-Overfull nodes split on their farthest pair of entry centroids. The final
-clusters are exactly the leaf subclusters, so k emerges from the data.
+Points are inserted one at a time into a height-balanced CF-tree. Each node
+keeps its entries' clustering features as rows of three arrays: count `n`
+(entries), linear sum `ls` (entries x d) and squared sum `ss` (entries).
+A leaf row is a subcluster; a point is absorbed by the nearest leaf row when
+the merged subcluster radius stays within the threshold, otherwise it opens
+a new row. An internal row sums its child's rows. Overfull nodes split on
+their farthest pair of entry centroids. The final clusters are exactly the
+leaf subclusters, so k emerges from the data.
 
 Since rows are unit vectors, Euclidean distance here is monotone in cosine
 similarity (||u - v||^2 = 2(1 - u.v)), making CF geometry the right space.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Partition
+from .graph import Partition
 
 
 @dataclass
@@ -26,62 +28,49 @@ class BirchParams:
     branching_factor: int = 50
 
     def __post_init__(self):
-        if self.threshold <= 0:
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if self.branching_factor < 2:
+        if not self.branching_factor >= 2:
             raise ValueError("branching_factor must be at least 2")
 
 
-class ClusteringFeature:
-    """Additive (count, linear sum, squared sum) summary of a point set."""
-
-    __slots__ = ("n", "ls", "ss")
-
-    def __init__(self, n: int, ls: np.ndarray, ss: float):
-        self.n = n
-        self.ls = ls
-        self.ss = ss
-
-    @classmethod
-    def of_point(cls, x: np.ndarray) -> "ClusteringFeature":
-        return cls(1, x.copy(), float(x @ x))
-
-    def merged(self, other: "ClusteringFeature") -> "ClusteringFeature":
-        return ClusteringFeature(self.n + other.n, self.ls + other.ls, self.ss + other.ss)
-
-    def add(self, other: "ClusteringFeature") -> None:
-        self.n += other.n
-        self.ls = self.ls + other.ls
-        self.ss += other.ss
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.ls / self.n
-
-    @property
-    def radius(self) -> float:
-        c = self.ls / self.n
-        r2 = self.ss / self.n - float(c @ c)
-        if r2 < -1e-12:
-            raise ValueError("negative squared radius beyond rounding slack")
-        return float(np.sqrt(max(r2, 0.0)))
-
-
+@dataclass
 class _Entry:
-    __slots__ = ("cf", "child", "point_ids")
+    """An internal node's link to the child behind row i. The row itself is
+    in the node's arrays; the record exists so that `entries[i].child` names
+    the i-th child, which the benchmark's tree-depth probe reads."""
 
-    def __init__(self, cf, child=None, point_ids=None):
-        self.cf = cf
-        self.child = child
-        self.point_ids = point_ids
+    child: "CfNode"
 
 
 class CfNode:
-    __slots__ = ("entries", "is_leaf")
+    """Entry i is row i of `n`, `ls` and `ss`; an internal node also holds
+    `entries[i].child`. Internal rows' `ss` is read only by `validate`."""
 
-    def __init__(self, is_leaf: bool, entries=None):
-        self.entries: list[_Entry] = entries if entries is not None else []
+    __slots__ = ("is_leaf", "n", "ls", "ss", "entries")
+
+    def __init__(self, is_leaf: bool, n, ls, ss, entries=None):
         self.is_leaf = is_leaf
+        self.n, self.ls, self.ss = n, ls, ss
+        self.entries: list[_Entry] = entries if entries is not None else []
+
+    def insert_row(self, i: int, n, ls, ss) -> None:
+        self.n = np.insert(self.n, i, n)
+        self.ls = np.insert(self.ls, i, ls, axis=0)
+        self.ss = np.insert(self.ss, i, ss)
+
+
+def _totals(node: CfNode):
+    """A node's row sums, added one row at a time in entry order (numpy's
+    pairwise sum rounds differently on some shapes)."""
+    return node.n.sum(), sum(node.ls), sum(node.ss)
+
+
+def _nearest(node: CfNode, x: np.ndarray) -> int:
+    diff = node.ls / node.n[:, None] - x
+    # a stack of 1 x d by d x 1 products takes the same dot product per row
+    # as `x @ x`, so near-ties resolve as a per-row loop would
+    return int(np.argmin((diff[:, None, :] @ diff[:, :, None]).ravel()))
 
 
 class CfTree:
@@ -89,103 +78,87 @@ class CfTree:
         self.params = params
         self.root: CfNode | None = None
 
-    def insert(self, x: np.ndarray, point_id: int) -> None:
+    def insert(self, x: np.ndarray) -> None:
         if self.root is None:
-            leaf = CfNode(is_leaf=True)
-            leaf.entries.append(_Entry(ClusteringFeature.of_point(x), point_ids=[point_id]))
-            self.root = leaf
+            self.root = CfNode(True, np.ones(1, np.int64), x[None].copy(), np.array([x @ x]))
             return
-        split = self._insert(self.root, x, point_id)
+        split = self._insert(self.root, x)
         if split is not None:
-            self.root = CfNode(is_leaf=False, entries=list(split))
+            rows = (np.array(col) for col in zip(*map(_totals, split)))
+            self.root = CfNode(False, *rows, [_Entry(child) for child in split])
 
-    def _nearest(self, node: CfNode, x: np.ndarray) -> int:
-        best, best_d = 0, np.inf
-        for idx, entry in enumerate(node.entries):
-            diff = entry.cf.centroid - x
-            d = float(diff @ diff)
-            if d < best_d:
-                best, best_d = idx, d
-        return best
-
-    def _insert(self, node: CfNode, x: np.ndarray, point_id: int):
-        best = self._nearest(node, x)
-        entry = node.entries[best]
+    def _insert(self, node: CfNode, x: np.ndarray):
+        best = _nearest(node, x)
+        xx = x @ x
         if node.is_leaf:
-            merged = entry.cf.merged(ClusteringFeature.of_point(x))
-            if merged.radius <= self.params.threshold:
-                entry.cf = merged
-                entry.point_ids.append(point_id)
+            n, ls, ss = node.n[best] + 1, node.ls[best] + x, node.ss[best] + xx
+            c = ls / n
+            r2 = ss / n - c @ c
+            if r2 < -1e-12:
+                raise ValueError("negative squared radius beyond rounding slack")
+            if np.sqrt(max(r2, 0.0)) <= self.params.threshold:
+                node.n[best], node.ls[best], node.ss[best] = n, ls, ss
                 return None
-            node.entries.append(
-                _Entry(ClusteringFeature.of_point(x), point_ids=[point_id])
-            )
+            node.insert_row(len(node.n), 1, x, xx)
         else:
-            split = self._insert(entry.child, x, point_id)
+            split = self._insert(node.entries[best].child, x)
             if split is None:
-                entry.cf.add(ClusteringFeature.of_point(x))
+                node.n[best] += 1
+                node.ls[best] += x
+                node.ss[best] += xx
                 return None
-            node.entries[best : best + 1] = list(split)
-        if len(node.entries) > self.params.branching_factor:
+            half_a, half_b = split
+            node.n[best], node.ls[best], node.ss[best] = _totals(half_a)
+            node.entries[best] = _Entry(half_a)
+            node.insert_row(best + 1, *_totals(half_b))
+            node.entries.insert(best + 1, _Entry(half_b))
+        if len(node.n) > self.params.branching_factor:
             return self._split(node)
         return None
 
     def _split(self, node: CfNode):
-        """Split an overfull node on its farthest pair of entry centroids."""
-        cents = np.array([e.cf.centroid for e in node.entries])
+        """Split an overfull node on its farthest pair of entry centroids:
+        each half lists its seed entry first, then its others in order."""
+        cents = node.ls / node.n[:, None]
         diff = cents[:, None, :] - cents[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
-        group_a, group_b = [node.entries[i]], [node.entries[j]]
-        for idx, entry in enumerate(node.entries):
-            if idx in (i, j):
-                continue
-            (group_a if d2[idx, i] <= d2[idx, j] else group_b).append(entry)
-
-        def summed(entries):
-            cf = ClusteringFeature(0, np.zeros_like(entries[0].cf.ls), 0.0)
-            for e in entries:
-                cf.add(e.cf)
-            return cf
-
-        return (
-            _Entry(summed(group_a), child=CfNode(node.is_leaf, group_a)),
-            _Entry(summed(group_b), child=CfNode(node.is_leaf, group_b)),
-        )
+        others = np.delete(np.arange(len(node.n)), [i, j])
+        near_i = d2[others, i] <= d2[others, j]
+        halves = []
+        for rows in (np.r_[i, others[near_i]], np.r_[j, others[~near_i]]):
+            entries = [node.entries[r] for r in rows] if not node.is_leaf else None
+            halves.append(CfNode(node.is_leaf, node.n[rows], node.ls[rows], node.ss[rows], entries))
+        return tuple(halves)
 
     def leaf_entries(self):
-        """Leaf subclusters, left to right through the tree."""
+        """Leaf subcluster centroids, one row each, left to right."""
         stack = [self.root] if self.root is not None else []
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                yield from node.entries
+                yield from node.ls / node.n[:, None]
             else:
                 stack.extend(e.child for e in reversed(node.entries))
 
     def validate(self) -> None:
         """Check branching caps and CF additivity at every internal node."""
-        if self.root is None:
-            return
-        stack = [self.root]
+        stack = [self.root] if self.root is not None else []
         while stack:
             node = stack.pop()
-            if len(node.entries) > self.params.branching_factor:
+            if len(node.n) > self.params.branching_factor:
                 raise AssertionError("node exceeds branching factor")
             if node.is_leaf:
                 continue
-            for entry in node.entries:
-                child = entry.child
-                total_n = sum(e.cf.n for e in child.entries)
-                total_ls = sum(e.cf.ls for e in child.entries)
-                total_ss = sum(e.cf.ss for e in child.entries)
-                if entry.cf.n != total_n:
+            for row, entry in enumerate(node.entries):
+                n, ls, ss = _totals(entry.child)
+                if node.n[row] != n:
                     raise AssertionError("CF count mismatch with children")
-                if not np.allclose(entry.cf.ls, total_ls, atol=1e-9):
+                if not np.allclose(node.ls[row], ls, atol=1e-9):
                     raise AssertionError("CF linear sum mismatch with children")
-                if not np.isclose(entry.cf.ss, total_ss, atol=1e-9):
+                if not np.isclose(node.ss[row], ss, atol=1e-9):
                     raise AssertionError("CF squared sum mismatch with children")
-                stack.append(child)
+                stack.append(entry.child)
 
 
 def birch_fit(x: np.ndarray, params: BirchParams | None = None) -> Partition:
@@ -202,18 +175,11 @@ def birch_fit(x: np.ndarray, params: BirchParams | None = None) -> Partition:
         raise ValueError("non-finite embedding values")
     params = params or BirchParams()
     tree = CfTree(params)
-    for idx in range(x.shape[0]):
-        tree.insert(x[idx], idx)
-    centroids = np.array([e.cf.centroid for e in tree.leaf_entries()])
+    for row in x:
+        tree.insert(row)
+    centroids = np.array(list(tree.leaf_entries()))
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the ||x||^2 term is constant per row
     scores = x @ centroids.T - 0.5 * np.einsum("ij,ij->i", centroids, centroids)
     nearest = np.argmax(scores, axis=1)
     # compact away any centroid that attracted no points
     return Partition.compact(nearest)
-
-
-def assign_singletons(partition: Partition, g: Graph) -> Partition:
-    """Relabel cluster ids to a contiguous 0..k-1 range (membership unchanged)."""
-    if len(partition.assignment) != g.n:
-        raise ValueError("partition does not cover the graph")
-    return Partition.compact(partition.assignment)

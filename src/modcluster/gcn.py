@@ -254,8 +254,7 @@ def save_checkpoint(path, model: GcnModel) -> None:
         fh.write(CHECKPOINT_HEADER + "\n")
         fh.write("dims\t" + " ".join(str(d) for d in model.layer_dims) + "\n")
         for w in model.weights:
-            for row in w:
-                fh.write("\t".join(f"{x:.17g}" for x in row) + "\n")
+            np.savetxt(fh, w, fmt="%.17g", delimiter="\t")
 
 
 def load_checkpoint(path) -> GcnModel:

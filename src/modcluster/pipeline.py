@@ -84,7 +84,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lam < 0 or self.alpha < 0:
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be a positive finite number")
+        if not (self.lam >= 0 and self.alpha >= 0):
             raise ValueError("lambda and alpha must be nonnegative")
         if not 0.0 <= self.label_fraction <= 1.0:
             raise ValueError("label_fraction must lie in [0, 1]")
@@ -92,6 +94,9 @@ class RunConfig:
             raise ValueError(f"unknown aux_mode {self.aux_mode!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if not self.f1_sample_size >= 2:
+            raise ValueError("f1_sample_size must be at least 2")
+        BirchParams(self.birch_threshold, self.branching_factor)  # raises on a bad value
 
 
 @dataclass
@@ -315,13 +320,14 @@ def cmd_eval(
     seed: int = 0,
 ) -> MetricsReport:
     """Cluster and score a dataset with a saved model; no training."""
+    params = BirchParams(birch_threshold, branching_factor)
     model = gcn.load_checkpoint(checkpoint_path)
     features = load_features(features_path)
     g = load_graph(edges_path, len(features))
     labels = load_labels(labels_path, g.n) if labels_path else None
     a_norm = normalized_adjacency(g)
     x = transform_forward(model, a_norm, features)
-    partition = birch_fit(x, BirchParams(birch_threshold, branching_factor))
+    partition = birch_fit(x, params)
     return evaluate(
         g,
         partition,

@@ -57,9 +57,7 @@ def test_criterion_1_modularity_oracle_equivalence():
         seed += 1
         graphs += 1
         k = int(rng.integers(1, 7))
-        part = mc.assign_singletons(
-            mc.Partition(rng.integers(0, k, n), k=k), g
-        )
+        part = mc.Partition.compact(rng.integers(0, k, n))
         q_cluster = mc.modularity(g, part)
         dense = dense_adjacency(g)
         q_double = modularity_double_sum(dense, part.assignment)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import modcluster as mc
-from modcluster.birch import BirchParams, CfTree, ClusteringFeature
-from modcluster.graph import from_edges
+from modcluster.birch import BirchParams, CfTree
 
 
 def sphere_blobs(rng, centers, per_blob, spread_deg):
@@ -21,24 +20,64 @@ def sphere_blobs(rng, centers, per_blob, spread_deg):
     return np.array(points), np.array(groups)
 
 
+def grown_tree(x, params):
+    tree = CfTree(params)
+    for row in x:
+        tree.insert(row)
+    return tree
+
+
+def leaf_nodes(tree):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            yield node
+        else:
+            stack.extend(entry.child for entry in node.entries)
+
+
+def leaf_radii(leaf):
+    """Each leaf row's subcluster radius, from its (n, ls, ss) row."""
+    centroids = leaf.ls / leaf.n[:, None]
+    return np.sqrt(np.maximum(leaf.ss / leaf.n - np.sum(centroids**2, axis=1), 0.0))
+
+
 class TestClusteringFeature:
+    """The (n, ls, ss) rows of the leaves, read through a grown tree."""
+
     def test_radius_hand_value(self):
-        cf = ClusteringFeature.of_point(np.array([0.0, 0.0]))
-        cf.add(ClusteringFeature.of_point(np.array([2.0, 0.0])))
-        np.testing.assert_allclose(cf.centroid, [1.0, 0.0])
-        assert cf.radius == pytest.approx(1.0)
+        tree = grown_tree(np.array([[0.0, 0.0], [2.0, 0.0]]), BirchParams(threshold=1.0))
+        (leaf,) = leaf_nodes(tree)
+        np.testing.assert_allclose(leaf.ls / leaf.n[:, None], [[1.0, 0.0]])
+        assert leaf_radii(leaf) == pytest.approx([1.0])
+
+    @pytest.mark.parametrize("threshold, k", [(1.0, 1), (0.999, 2)])
+    def test_radius_boundary(self, threshold, k):
+        # the merged radius of (0,0) and (2,0) is exactly 1
+        part = mc.birch_fit(np.array([[0.0, 0.0], [2.0, 0.0]]), BirchParams(threshold))
+        assert part.k == k
 
     def test_singleton_radius_zero(self):
-        cf = ClusteringFeature.of_point(np.array([3.0, 4.0]))
-        assert cf.radius == 0.0
+        (leaf,) = leaf_nodes(grown_tree(np.array([[3.0, 4.0]]), BirchParams()))
+        assert leaf_radii(leaf).tolist() == [0.0]
 
     def test_merge_is_additive(self):
-        a = ClusteringFeature.of_point(np.array([1.0, 2.0]))
-        b = ClusteringFeature.of_point(np.array([-1.0, 0.5]))
-        merged = a.merged(b)
-        assert merged.n == 2
-        np.testing.assert_allclose(merged.ls, [0.0, 2.5])
-        assert merged.ss == pytest.approx(5.0 + 1.25)
+        x = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        (leaf,) = leaf_nodes(grown_tree(x, BirchParams(threshold=10.0)))
+        assert leaf.n.tolist() == [2]
+        np.testing.assert_allclose(leaf.ls, [[0.0, 2.5]])
+        assert leaf.ss.tolist() == pytest.approx([5.0 + 1.25])
+
+    def test_leaf_rows_within_threshold(self):
+        rng = np.random.default_rng(4)
+        x = mc.transform_embeddings(rng.normal(0, 1, (300, 5)))
+        tree = grown_tree(x, BirchParams(threshold=0.3, branching_factor=4))
+        tree.validate()
+        assert not tree.root.is_leaf
+        radii = np.concatenate([leaf_radii(leaf) for leaf in leaf_nodes(tree)])
+        assert len(radii) == sum(1 for _ in tree.leaf_entries())
+        assert radii.max() <= 0.3
 
 
 class TestBirchFit:
@@ -98,17 +137,15 @@ class TestCfTree:
         x = rng.normal(0, 1, (60, 4))
         tree = CfTree(BirchParams(threshold=0.3, branching_factor=3))
         for idx in range(len(x)):
-            tree.insert(x[idx], idx)
+            tree.insert(x[idx])
             tree.validate()
-        total = sum(e.cf.n for e in tree.leaf_entries())
+        total = sum(int(leaf.n.sum()) for leaf in leaf_nodes(tree))
         assert total == 60
 
     def test_branching_cap_forces_splits(self):
         # distinct far-apart points with a tiny threshold: all singletons
         x = np.arange(40, dtype=np.float64).reshape(-1, 1) * 10.0
-        tree = CfTree(BirchParams(threshold=1e-3, branching_factor=4))
-        for idx in range(len(x)):
-            tree.insert(x[idx], idx)
+        tree = grown_tree(x, BirchParams(threshold=1e-3, branching_factor=4))
         tree.validate()
         assert sum(1 for _ in tree.leaf_entries()) == 40
         assert not tree.root.is_leaf
@@ -119,22 +156,16 @@ class TestParamsAndRelabel:
         with pytest.raises(ValueError):
             BirchParams(threshold=0.0)
         with pytest.raises(ValueError):
+            BirchParams(threshold=float("nan"))
+        with pytest.raises(ValueError):
             BirchParams(branching_factor=1)
 
-    def test_assign_singletons_relabels_gaps(self):
-        g = from_edges(np.array([[0, 1], [1, 2]]), 3)
-        part = mc.Partition(np.array([0, 2, 5]), k=6)
-        out = mc.assign_singletons(part, g)
+    def test_compact_relabels_gaps(self):
+        out = mc.Partition.compact(np.array([0, 2, 5]))
         assert out.assignment.tolist() == [0, 1, 2]
         assert out.k == 3
 
-    def test_assign_singletons_keeps_contiguous(self):
-        g = from_edges(np.array([[0, 1], [1, 2]]), 3)
+    def test_compact_keeps_contiguous(self):
         part = mc.Partition(np.array([0, 1, 0]), k=2)
-        out = mc.assign_singletons(part, g)
+        out = mc.Partition.compact(part.assignment)
         assert np.array_equal(out.assignment, part.assignment)
-
-    def test_assign_singletons_coverage_guard(self):
-        g = from_edges(np.array([[0, 1], [1, 2]]), 3)
-        with pytest.raises(ValueError, match="cover"):
-            mc.assign_singletons(mc.Partition(np.array([0, 1]), k=2), g)

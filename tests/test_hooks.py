@@ -4,9 +4,10 @@ The benchmark never edits the package: it swaps module attributes for
 wrappers while a command runs. These tests pin what that needs: the
 epoch's Adam step and the BIRCH fit are looked up through module
 attributes, ``AdamState.step`` counts the steps, ``CfTree.leaf_entries``
-takes only the tree, so a one-argument wrapper can replace it, a bare
-``GradientTape()`` records the transform's row masks, and the normalized
-adjacency is a matrix of its own.
+takes only the tree, so a one-argument wrapper can replace it, an internal
+CF-tree node's ``entries[i].child`` is its i-th child (the tree-depth
+probe walks it), a bare ``GradientTape()`` records the transform's row
+masks, and the normalized adjacency is a matrix of its own.
 """
 
 import inspect
@@ -76,6 +77,23 @@ def test_one_argument_leaf_entries_wrapper(monkeypatch):
     got = mc.birch_fit(x, params)
     assert np.array_equal(got.assignment, expected.assignment)
     assert seen and seen[0] >= got.k > 3
+
+
+def test_internal_node_entries_hold_children(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = mc.transform_embeddings(rng.normal(0, 1, (150, 5)))
+    original = birch.CfTree.leaf_entries
+    trees = []
+
+    def captured(tree):
+        trees.append(tree)
+        return original(tree)
+
+    monkeypatch.setattr(birch.CfTree, "leaf_entries", captured)
+    mc.birch_fit(x, mc.BirchParams(threshold=0.1, branching_factor=3))
+    (tree,) = trees
+    assert tree.root.is_leaf is False
+    assert isinstance(tree.root.entries[0].child, birch.CfNode)
 
 
 def test_tape_exposes_transform_masks():

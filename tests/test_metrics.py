@@ -31,9 +31,7 @@ class TestModularity:
             n = int(rng.integers(4, 50))
             g = random_graph(n, 0.25, 3000 + trial)
             assignment = rng.integers(0, int(rng.integers(1, 6)), n)
-            part = mc.assign_singletons(
-                mc.Partition(assignment, k=int(assignment.max()) + 1), g
-            )
+            part = mc.Partition.compact(assignment)
             q = mc.modularity(g, part)
             oracle = modularity_double_sum(dense_adjacency(g), part.assignment)
             assert q == pytest.approx(oracle, abs=1e-10)
@@ -42,16 +40,21 @@ class TestModularity:
         g = random_graph(20, 0.3, 9)
         rng = np.random.default_rng(4)
         assignment = rng.integers(0, 4, 20)
-        part = mc.assign_singletons(mc.Partition(assignment), g)
+        part = mc.Partition.compact(assignment)
         perm = rng.permutation(part.k)
         permuted = mc.Partition(perm[part.assignment], k=part.k)
         assert mc.modularity(g, permuted) == pytest.approx(mc.modularity(g, part))
+
+    def test_partition_must_cover_graph(self):
+        g = from_edges(np.array([[0, 1], [1, 2]]), 3)
+        with pytest.raises(ValueError, match="cover"):
+            mc.modularity(g, mc.Partition(np.array([0, 1]), k=2))
 
     def test_range(self):
         g = random_graph(15, 0.4, 10)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            part = mc.assign_singletons(mc.Partition(rng.integers(0, 3, 15)), g)
+            part = mc.Partition.compact(rng.integers(0, 3, 15))
             assert -0.5 - 1e-12 <= mc.modularity(g, part) <= 1.0
 
 
@@ -81,7 +84,7 @@ class TestConductance:
         rng = np.random.default_rng(6)
         g = random_graph(20, 0.3, 30)
         for _ in range(5):
-            part = mc.assign_singletons(mc.Partition(rng.integers(0, 4, 20)), g)
+            part = mc.Partition.compact(rng.integers(0, 4, 20))
             assert 0.0 <= mc.conductance(g, part) <= 1.0
 
 
@@ -120,9 +123,7 @@ class TestNmi:
         rng = np.random.default_rng(7)
         labels = rng.integers(0, 3, 30)
         assignment = rng.integers(0, 4, 30)
-        part = mc.assign_singletons(
-            mc.Partition(assignment), random_graph(30, 0.2, 40)
-        )
+        part = mc.Partition.compact(assignment)
         perm = rng.permutation(part.k)
         permuted = mc.Partition(perm[part.assignment], k=part.k)
         assert mc.nmi(permuted, labels) == pytest.approx(mc.nmi(part, labels))
@@ -148,8 +149,7 @@ class TestPairwiseF1:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(8)
         labels = rng.integers(0, 3, 200)
-        part = mc.Partition(rng.integers(0, 3, 200))
-        part = mc.assign_singletons(part, random_graph(200, 0.05, 50))
+        part = mc.Partition.compact(rng.integers(0, 3, 200))
         a = mc.pairwise_f1(part, labels, sample_size=50, seed=5)
         b = mc.pairwise_f1(part, labels, sample_size=50, seed=5)
         assert a == b
@@ -157,9 +157,7 @@ class TestPairwiseF1:
     def test_exact_when_sample_covers_all(self):
         rng = np.random.default_rng(9)
         labels = rng.integers(0, 2, 30)
-        part = mc.assign_singletons(
-            mc.Partition(rng.integers(0, 2, 30)), random_graph(30, 0.2, 60)
-        )
+        part = mc.Partition.compact(rng.integers(0, 2, 30))
         for seed in range(5):
             assert mc.pairwise_f1(part, labels, sample_size=30, seed=seed) == (
                 mc.pairwise_f1(part, labels, sample_size=10_000, seed=seed + 99)
@@ -173,9 +171,7 @@ class TestPairwiseF1:
     def test_invariant_under_id_permutation(self):
         rng = np.random.default_rng(11)
         labels = rng.integers(0, 3, 40)
-        part = mc.assign_singletons(
-            mc.Partition(rng.integers(0, 4, 40)), random_graph(40, 0.2, 70)
-        )
+        part = mc.Partition.compact(rng.integers(0, 4, 40))
         perm = rng.permutation(part.k)
         permuted = mc.Partition(perm[part.assignment], k=part.k)
         for seed in (0, 1):

@@ -424,8 +424,17 @@ class TestCli:
             ("unknown-key", r"run\.json: unknown config key 'epoch'"),
             ("comment-only-edges", r"edges\.tsv: empty edge file"),
             ("missing-file", r"No such file or directory: '.*features\.tsv'"),
+            ("birch-threshold-0", r"threshold must be positive"),
+            ("birch-threshold-nan", r"threshold must be positive"),
+            ("branching-1", r"branching_factor must be at least 2"),
+            ("f1-sample-0", r"f1_sample_size must be at least 2"),
+            ("lr-nan", r"learning_rate must be a positive finite number"),
+            ("eval-branching-1", r"branching_factor must be at least 2"),
         ],
-        ids=["unknown-key", "comment-only-edges", "missing-file"],
+        ids=[
+            "unknown-key", "comment-only-edges", "missing-file", "birch-threshold-0",
+            "birch-threshold-nan", "branching-1", "f1-sample-0", "lr-nan", "eval-branching-1",
+        ],
     )
     def test_bad_input_prints_one_line_and_exits_2(self, tmp_path, capsys, case, message):
         data = tmp_path / "data"
@@ -436,19 +445,34 @@ class TestCli:
         capsys.readouterr()
         argv = ["train", "--edges", str(data / "edges.tsv"),
                 "--features", str(data / "features.tsv"), "--out", str(tmp_path / "run")]
+        bad_flags = {
+            "birch-threshold-0": ["--birch-threshold", "0"],
+            "birch-threshold-nan": ["--birch-threshold", "nan"],
+            "branching-1": ["--branching", "1"],
+            "f1-sample-0": ["--labels", str(data / "labels.tsv"), "--f1-sample", "0"],
+            "lr-nan": ["--lr", "nan"],
+        }
         if case == "unknown-key":
             config_path = tmp_path / "run.json"
             config_path.write_text(json.dumps({"epoch": 1}))
             argv += ["--config", str(config_path)]
         elif case == "comment-only-edges":
             (data / "edges.tsv").write_text("# no edges\n")
-        else:
+        elif case == "missing-file":
             (data / "features.tsv").unlink()
+        elif case == "eval-branching-1":
+            # the option is checked before the (missing) checkpoint is read
+            argv = ["eval", "--checkpoint", str(tmp_path / "missing.tsv"),
+                    "--edges", str(data / "edges.tsv"),
+                    "--features", str(data / "features.tsv"), "--branching", "1"]
+        else:
+            argv += bad_flags[case]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("modcluster train: ")
+        assert err.startswith(f"modcluster {argv[0]}: ")
         assert err.count("\n") == 1
         assert re.search(message, err)
+        assert not (tmp_path / "run").exists()
 
     def test_json_config_accepts_list_dims(self, tmp_path, capsys):
         data = tmp_path / "data"
