@@ -1,10 +1,12 @@
 """Graph convolutional network with SELU activations, trained by manual backprop.
 
 The forward pass stacks ``X <- selu(A_norm @ X @ W)`` layers (SELU after every
-layer, readout included). Raw outputs are then mapped onto the nonnegative
-part of the unit sphere by a four-step row transform: divide by the row sum,
-tanh, elementwise square, L2-normalize. All gradients are computed in closed
-form against intermediates recorded on a GradientTape.
+layer, readout included), each in the cheaper order: ``A_norm @ (H @ W)`` when
+H is sparse or d_in > d_out, else ``(A_norm @ H) @ W``. Raw outputs are then
+mapped onto the nonnegative part of the unit sphere by a four-step row
+transform: divide by the row sum, tanh, elementwise square, L2-normalize. All
+gradients are computed in closed form against intermediates recorded on a
+GradientTape; SELU' comes from the output: ``out + SCALE * ALPHA`` if out < 0.
 """
 
 from __future__ import annotations
@@ -39,15 +41,21 @@ class DivergenceError(ValueError):
 def selu(x):
     """Scaled exponential linear unit, elementwise."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(
-        x >= 0.0, SELU_SCALE * x, SELU_SCALE * SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
-    )
+    neg = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.expm1(neg, out=neg)
+    neg *= SELU_SCALE * SELU_ALPHA
+    out = np.maximum(x, 0.0, out=np.empty_like(x))
+    out *= SELU_SCALE
+    out += neg
+    return out
 
 
-def _selu_grad(x: np.ndarray) -> np.ndarray:
-    return np.where(
-        x >= 0.0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * np.exp(np.minimum(x, 0.0))
-    )
+def _selu_grad(out: np.ndarray) -> np.ndarray:
+    """SELU' from SELU's output: out + SCALE * ALPHA where out < 0, else SCALE."""
+    d = out + (SELU_SCALE * SELU_ALPHA - SELU_SCALE)
+    d *= out < 0.0
+    d += SELU_SCALE
+    return d
 
 
 @dataclass
@@ -58,12 +66,16 @@ class GcnModel:
     weights: list[np.ndarray]
 
 
-def init_model(layer_dims: list[int], seed: int) -> GcnModel:
-    """Glorot-uniform initialization, deterministic per seed."""
+def check_layer_dims(layer_dims) -> None:
     if len(layer_dims) < 2:
         raise ValueError("layer_dims must chain at least input -> output")
     if any(d <= 0 for d in layer_dims):
         raise ValueError("layer dimensions must be positive")
+
+
+def init_model(layer_dims: list[int], seed: int) -> GcnModel:
+    """Glorot-uniform initialization, deterministic per seed."""
+    check_layer_dims(layer_dims)
     rng = np.random.default_rng(seed)
     weights = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -77,8 +89,9 @@ class GradientTape:
     """Intermediates recorded by gcn_forward/transform_embeddings for backward."""
 
     a_norm: sp.csr_matrix | None = None
-    aggregated: list[np.ndarray] = field(default_factory=list)
-    preacts: list[np.ndarray] = field(default_factory=list)
+    # per layer: the dense product's left operand (H, or A_norm @ H) and output
+    inputs: list = field(default_factory=list)
+    outputs: list[np.ndarray] = field(default_factory=list)
     weights: list[np.ndarray] = field(default_factory=list)
     # transform-chain intermediates (None until transform_embeddings runs)
     row_sums: np.ndarray | None = None
@@ -90,33 +103,47 @@ class GradientTape:
     output: np.ndarray | None = None
 
 
+def _aggregate_last(h, d_out: int) -> bool:
+    """The order rule: ``A (H W)`` when H is sparse or the layer narrows."""
+    return sp.issparse(h) or h.shape[1] > d_out
+
+
+def input_aggregate(model: GcnModel, a_norm: sp.csr_matrix, x0):
+    """``A_norm @ x0`` if layer 0 runs as ``(A X0) W``: constant across epochs."""
+    return None if _aggregate_last(x0, model.layer_dims[1]) else a_norm @ x0
+
+
 def gcn_forward(
     model: GcnModel,
     a_norm: sp.csr_matrix,
-    x0: np.ndarray,
+    x0,
     tape: GradientTape | None = None,
+    ax0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run all GCN layers; returns the raw (untransformed) embedding matrix."""
-    x0 = np.asarray(x0, dtype=np.float64)
+    """Run all GCN layers; returns the raw (untransformed) embedding matrix.
+    ``x0`` may be sparse; ``ax0`` is input_aggregate's product, if kept."""
     if x0.shape[1] != model.layer_dims[0]:
         raise ValueError(
             f"feature dim {x0.shape[1]} != model input dim {model.layer_dims[0]}"
         )
     if tape is not None:
         tape.a_norm = a_norm
-        tape.aggregated.clear()
-        tape.preacts.clear()
+        tape.inputs.clear()
+        tape.outputs.clear()
         tape.weights = model.weights
     h = x0
     for layer, w in enumerate(model.weights):
-        ah = a_norm @ h
-        pre = ah @ w
+        if _aggregate_last(h, w.shape[1]):
+            pre = a_norm @ (h @ w)
+        else:
+            h = ax0 if layer == 0 and ax0 is not None else a_norm @ h
+            pre = h @ w
         out = selu(pre)
         if not np.all(np.isfinite(out)):
             raise DivergenceError(f"non-finite activation in layer {layer}")
         if tape is not None:
-            tape.aggregated.append(ah)
-            tape.preacts.append(pre)
+            tape.inputs.append(h)
+            tape.outputs.append(out)
         h = out
     return h
 
@@ -143,8 +170,8 @@ def transform_embeddings(
             f"{int((~divided).sum())} row(s) with near-zero sum: row-sum "
             "normalization skipped for them"
         )
-    y = x_raw.copy()
-    y[divided] /= sums[divided, None]
+    # skipped rows divide by 1.0, so no row needs a masked copy
+    y = x_raw / np.where(divided, sums, 1.0)[:, None]
 
     z = np.tanh(y)
     q = z * z
@@ -156,8 +183,7 @@ def transform_embeddings(
             f"{int(degenerate.sum())} degenerate row(s) replaced by the "
             "uniform unit vector"
         )
-    out = np.empty_like(q)
-    out[~degenerate] = q[~degenerate] / norms[~degenerate, None]
+    out = q / np.where(degenerate, 1.0, norms)[:, None]
     out[degenerate] = 1.0 / np.sqrt(k)
 
     if tape is not None:
@@ -178,7 +204,7 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
     when the tape recorded a transform, otherwise with respect to the raw
     GCN output. Returns one gradient per weight matrix.
     """
-    if not tape.preacts:
+    if not tape.outputs:
         raise ValueError("tape has no recorded forward pass")
     g = np.asarray(dloss_dx, dtype=np.float64)
 
@@ -186,28 +212,34 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
         if g.shape != tape.output.shape:
             raise ValueError("gradient shape does not match transformed output")
         u, z, y = tape.output, tape.after_tanh, tape.after_div
+        degenerate, divided = tape.degenerate_mask, tape.divided_mask
         # L2 normalization: rows replaced by a constant get zero gradient
-        gq = np.zeros_like(g)
-        ok = ~tape.degenerate_mask
-        dots = np.einsum("ij,ij->i", g[ok], u[ok])
-        gq[ok] = (g[ok] - dots[:, None] * u[ok]) / tape.norms[ok, None]
+        dots = np.einsum("ij,ij->i", g, u)
+        gq = (g - dots[:, None] * u) / np.where(degenerate, 1.0, tape.norms)[:, None]
+        gq[degenerate] = 0.0
         # square, then tanh
-        gz = gq * 2.0 * z
-        gy = gz * (1.0 - z * z)
+        gy = gq * 2.0 * z * (1.0 - z * z)
         # row-sum division (identity where it was skipped)
-        g = gy.copy()
-        div = tape.divided_mask
-        rowdots = np.einsum("ij,ij->i", gy[div], y[div])
-        g[div] = (gy[div] - rowdots[:, None]) / tape.row_sums[div, None]
+        rowdots = np.where(divided, np.einsum("ij,ij->i", gy, y), 0.0)
+        g = (gy - rowdots[:, None]) / np.where(divided, tape.row_sums, 1.0)[:, None]
 
-    if g.shape != tape.preacts[-1].shape:
+    if g.shape != tape.outputs[-1].shape:
         raise ValueError("gradient shape does not match raw output")
     grads: list[np.ndarray] = [None] * len(tape.weights)
     for layer in range(len(tape.weights) - 1, -1, -1):
-        dpre = g * _selu_grad(tape.preacts[layer])
-        grads[layer] = tape.aggregated[layer].T @ dpre
-        if layer > 0:
-            g = tape.a_norm @ (dpre @ tape.weights[layer].T)
+        w, h = tape.weights[layer], tape.inputs[layer]
+        dpre = _selu_grad(tape.outputs[layer])
+        dpre *= g
+        # an aggregated operand is dense with <= d_out columns: same order
+        if _aggregate_last(h, w.shape[1]):
+            p = tape.a_norm @ dpre  # A_norm is symmetric: one SpMM serves both
+            grads[layer] = h.T @ p
+            if layer > 0:
+                g = p @ w.T
+        else:
+            grads[layer] = h.T @ dpre
+            if layer > 0:
+                g = tape.a_norm @ (dpre @ w.T)
     return grads
 
 

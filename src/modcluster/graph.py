@@ -5,7 +5,7 @@ can be produced from any source:
 
 * ``edges.tsv``    -- one ``u v`` pair per line, 0-based ids, ``#`` comments.
 * ``features.tsv`` -- dense rows, or a ``sparse n r`` header followed by
-  ``i j value`` triplets (unlisted entries are 0).
+  ``i j value`` triplets (unlisted entries are 0), loaded as scipy CSR.
 * ``labels.tsv``   -- ``node_id label_id`` per line; absent nodes are unlabeled.
 * ``partition.tsv``-- ``node_id cluster_id`` per line (same shape as labels).
 """
@@ -160,12 +160,13 @@ def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
     return from_edges(pairs, num_nodes)
 
 
-def load_features(path, n: int | None = None) -> np.ndarray:
-    """Load a dense n-by-r feature matrix.
+def load_features(path, n: int | None = None) -> np.ndarray | sp.csr_matrix:
+    """Load an n-by-r feature matrix: an ndarray or, for a sparse file, CSR.
 
     Either one dense whitespace-separated row per node, or a header line
-    ``sparse n r`` followed by ``i j value`` triplets. When ``n`` is omitted
-    it is taken from the row count or the sparse header.
+    ``sparse n r`` followed by ``i j value`` triplets (the last of a repeated
+    ``i j`` wins). When ``n`` is omitted it is taken from the row count or
+    the sparse header.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -178,7 +179,7 @@ def load_features(path, n: int | None = None) -> np.ndarray:
             if n is not None and n_file != n:
                 raise ValueError(f"{path}: sparse header n={n_file}, expected {n}")
             n = n_file
-            data = np.zeros((n, r), dtype=np.float64)
+            cells, values = [], []
             for lineno, line in enumerate(fh, start=2):
                 text = line.split("#", 1)[0].strip()
                 if not text:
@@ -191,7 +192,12 @@ def load_features(path, n: int | None = None) -> np.ndarray:
                 )
                 if not (0 <= i < n and 0 <= j < r):
                     raise ValueError(f"{path}:{lineno}: index out of range")
-                data[i, j] = v
+                cells.append(i * r + j)
+                values.append(v)
+            # first occurrences in the reversed file are the last ones written
+            cells, last = np.unique(np.array(cells[::-1], dtype=np.int64), return_index=True)
+            values = np.array(values[::-1], dtype=np.float64)[last]
+            data = sp.csr_matrix((values, (cells // r, cells % r)), shape=(n, r))
         else:
             fh.seek(0)
             rows = []
@@ -207,7 +213,7 @@ def load_features(path, n: int | None = None) -> np.ndarray:
             if len(widths) != 1:
                 raise ValueError(f"{path}: inconsistent row widths {sorted(widths)}")
             data = np.vstack(rows)
-    if not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data.data if sp.issparse(data) else data)):
         raise ValueError(f"{path}: non-finite feature value")
     return data
 

@@ -96,6 +96,11 @@ def nmi(p: Partition, labels: np.ndarray) -> float:
     return 2.0 * info / (ha + hb)
 
 
+def check_sample_size(sample_size: int) -> None:
+    if not sample_size >= 2:
+        raise ValueError("f1_sample_size must be at least 2")
+
+
 def pairwise_f1(
     p: Partition, labels: np.ndarray, sample_size: int = 1000, seed: int = 0
 ) -> float:
@@ -105,6 +110,7 @@ def pairwise_f1(
     positive when they share a label. With sample_size >= the labeled count
     the score is exact.
     """
+    check_sample_size(sample_size)
     labeled_idx = np.flatnonzero(labels != UNLABELED)
     if len(labeled_idx) < 2:
         raise ValueError("need at least two labeled nodes")

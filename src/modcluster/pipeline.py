@@ -48,9 +48,12 @@ from .graph import (
     write_partition,
 )
 from .losses import AuxiliaryInfo, LossReport, onehot_from_labels, total_loss
-from .metrics import MetricsReport, evaluate
+from .metrics import MetricsReport, check_sample_size, evaluate
 
 _ROLES = {"init": 0, "sbm": 1, "f1": 2, "aux": 3, "features": 4}
+
+# the file flag each auxiliary mode reads its supervision from
+_AUX_FILES = {"labels": "labels", "pairs": "pairs", "external-partition": "partition"}
 
 FEATURE_NOISE_STD = 1.0
 
@@ -90,12 +93,16 @@ class RunConfig:
             raise ValueError("lambda and alpha must be nonnegative")
         if not 0.0 <= self.label_fraction <= 1.0:
             raise ValueError("label_fraction must lie in [0, 1]")
-        if self.aux_mode not in ("none", "labels", "pairs", "external-partition"):
+        if self.aux_mode not in ("none", *_AUX_FILES):
             raise ValueError(f"unknown aux_mode {self.aux_mode!r}")
+        flag = _AUX_FILES.get(self.aux_mode)
+        if flag and not getattr(self, flag):
+            raise ValueError(f"aux_mode {self.aux_mode} requires --{flag}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if not self.f1_sample_size >= 2:
-            raise ValueError("f1_sample_size must be at least 2")
+        # the input size comes from the features file; 1 stands in for it
+        gcn.check_layer_dims([1, *self.hidden_dims])
+        check_sample_size(self.f1_sample_size)
         BirchParams(self.birch_threshold, self.branching_factor)  # raises on a bad value
 
 
@@ -217,9 +224,10 @@ def train_epochs(
     them all at each epoch's end lets malloc trim the heap, and at n=16k the
     next epoch then takes ~5k more page faults and runs ~7% slower.
     """
+    ax0 = gcn.input_aggregate(model, a_norm, features)  # the same every epoch
     while True:
         tape = gcn.GradientTape()
-        raw = gcn.gcn_forward(model, a_norm, features, tape)
+        raw = gcn.gcn_forward(model, a_norm, features, tape, ax0=ax0)
         x = gcn.transform_embeddings(raw, tape)
         report, dldx = total_loss(x, g, aux)
         if not np.isfinite(report.total):
@@ -281,7 +289,7 @@ def cmd_train(config: RunConfig) -> RunArtifacts:
     """Train over all configured seeds and write the artifact set."""
     config.validate()
     features = load_features(config.features)
-    g = load_graph(config.edges, len(features))
+    g = load_graph(config.edges, features.shape[0])
     labels = load_labels(config.labels, g.n) if config.labels else None
     a_norm = normalized_adjacency(g)
 
@@ -321,9 +329,10 @@ def cmd_eval(
 ) -> MetricsReport:
     """Cluster and score a dataset with a saved model; no training."""
     params = BirchParams(birch_threshold, branching_factor)
+    check_sample_size(f1_sample_size)
     model = gcn.load_checkpoint(checkpoint_path)
     features = load_features(features_path)
-    g = load_graph(edges_path, len(features))
+    g = load_graph(edges_path, features.shape[0])
     labels = load_labels(labels_path, g.n) if labels_path else None
     a_norm = normalized_adjacency(g)
     x = transform_forward(model, a_norm, features)

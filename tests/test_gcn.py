@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import modcluster as mc
+from modcluster import gcn
 from modcluster.gcn import SELU_ALPHA, SELU_SCALE, GradientTape
 from reference import (
     fd_weight_grads,
@@ -30,6 +32,32 @@ class TestSelu:
         assert out[1] == 0.0
         assert out[2] == pytest.approx(2 * SELU_SCALE)
         assert out[0] == pytest.approx(SELU_SCALE * SELU_ALPHA * np.expm1(-1.0))
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(11)
+        tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
+        return np.concatenate(
+            [rng.normal(0, 3, 1993), rng.uniform(-750, 750, 200), tiny]
+        ).reshape(-1, 11)
+
+    def test_matches_where_form(self):
+        x = self.inputs()
+        expected = np.where(
+            x >= 0, SELU_SCALE * x, SELU_SCALE * SELU_ALPHA * np.expm1(np.minimum(x, 0))
+        )
+        # equal values; only the sign of an exact zero may differ
+        np.testing.assert_array_equal(mc.selu(x), expected)
+
+    def test_grad_from_output(self):
+        x = self.inputs()
+        expected = np.where(
+            x >= 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * np.exp(np.minimum(x, 0))
+        )
+        got = gcn._selu_grad(mc.selu(x))
+        np.testing.assert_allclose(
+            got, expected, rtol=0, atol=4 * np.spacing(SELU_SCALE * SELU_ALPHA)
+        )
 
 
 class TestInitModel:
@@ -233,6 +261,52 @@ class TestBackward:
             lambda m: total_loss_value(m, a_norm, feats, g, None), model
         )
         assert max_rel_error(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize(
+        "dims, csr, aggregate_last",
+        [
+            ((2, 3, 4), False, [False, False]),
+            ((3, 5, 2), False, [False, True]),
+            ((4, 3, 2), False, [True, True]),
+            ((4, 5, 6), True, [True, False]),
+        ],
+        ids=["aggregate-first", "mixed", "aggregate-last", "csr-x0"],
+    )
+    def test_every_layer_order_matches_fd(self, dims, csr, aggregate_last):
+        g, a_norm, feats, model = self.setup_small(seed=6, dims=dims)
+        if csr:
+            feats = sp.csr_matrix(np.where(np.abs(feats) > 0.7, feats, 0.0))
+        ax0 = gcn.input_aggregate(model, a_norm, feats)
+        tape = GradientTape()
+        raw = mc.gcn_forward(model, a_norm, feats, tape, ax0=ax0)
+        x = mc.transform_embeddings(raw, tape)
+        _, dldx = mc.total_loss(x, g, None)
+        analytic = mc.backward(tape, dldx)
+        orders = [
+            gcn._aggregate_last(h, w.shape[1]) for h, w in zip(tape.inputs, model.weights)
+        ]
+        assert orders == aggregate_last
+        assert (tape.inputs[0] is ax0) == (not aggregate_last[0])
+        numeric = fd_weight_grads(
+            lambda m: total_loss_value(m, a_norm, feats, g, None), model
+        )
+        assert max_rel_error(analytic, numeric) < 1e-4
+
+    def test_csr_and_dense_x0_agree(self):
+        # dense X0 runs layer 0 as (A X0) W, CSR X0 as A (X0 W)
+        g, a_norm, feats, model = self.setup_small(seed=8, dims=(4, 6, 3), n=12)
+        feats[np.abs(feats) < 0.7] = 0.0
+        runs = []
+        for x0 in (feats, sp.csr_matrix(feats)):
+            tape = GradientTape()
+            raw = mc.gcn_forward(model, a_norm, x0, tape)
+            x = mc.transform_embeddings(raw, tape)
+            _, dldx = mc.total_loss(x, g, None)
+            runs.append((raw, mc.backward(tape, dldx)))
+        (raw_dense, grads_dense), (raw_csr, grads_csr) = runs
+        np.testing.assert_allclose(raw_csr, raw_dense, rtol=0, atol=1e-12)
+        for got, want in zip(grads_csr, grads_dense):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_empty_tape_rejected(self):
         with pytest.raises(ValueError, match="tape"):

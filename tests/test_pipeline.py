@@ -430,10 +430,17 @@ class TestCli:
             ("f1-sample-0", r"f1_sample_size must be at least 2"),
             ("lr-nan", r"learning_rate must be a positive finite number"),
             ("eval-branching-1", r"branching_factor must be at least 2"),
+            ("labels-without-file", r"aux_mode labels requires --labels"),
+            ("pairs-without-file", r"aux_mode pairs requires --pairs"),
+            ("partition-without-file", r"aux_mode external-partition requires --partition"),
+            ("dims-0", r"layer dimensions must be positive"),
+            ("eval-f1-sample-0", r"f1_sample_size must be at least 2"),
         ],
         ids=[
             "unknown-key", "comment-only-edges", "missing-file", "birch-threshold-0",
             "birch-threshold-nan", "branching-1", "f1-sample-0", "lr-nan", "eval-branching-1",
+            "labels-without-file", "pairs-without-file", "partition-without-file", "dims-0",
+            "eval-f1-sample-0",
         ],
     )
     def test_bad_input_prints_one_line_and_exits_2(self, tmp_path, capsys, case, message):
@@ -451,6 +458,12 @@ class TestCli:
             "branching-1": ["--branching", "1"],
             "f1-sample-0": ["--labels", str(data / "labels.tsv"), "--f1-sample", "0"],
             "lr-nan": ["--lr", "nan"],
+            "labels-without-file": ["--aux-mode", "labels", "--lambda", "0.5"],
+            "pairs-without-file": ["--aux-mode", "pairs", "--lambda", "0.5"],
+            "partition-without-file": ["--aux-mode", "external-partition"],
+            "dims-0": ["--dims", "0"],
+            "eval-branching-1": ["--branching", "1"],
+            "eval-f1-sample-0": ["--labels", str(data / "labels.tsv"), "--f1-sample", "0"],
         }
         if case == "unknown-key":
             config_path = tmp_path / "run.json"
@@ -460,11 +473,11 @@ class TestCli:
             (data / "edges.tsv").write_text("# no edges\n")
         elif case == "missing-file":
             (data / "features.tsv").unlink()
-        elif case == "eval-branching-1":
+        elif case.startswith("eval-"):
             # the option is checked before the (missing) checkpoint is read
             argv = ["eval", "--checkpoint", str(tmp_path / "missing.tsv"),
                     "--edges", str(data / "edges.tsv"),
-                    "--features", str(data / "features.tsv"), "--branching", "1"]
+                    "--features", str(data / "features.tsv")] + bad_flags[case]
         else:
             argv += bad_flags[case]
         assert main(argv) == 2
