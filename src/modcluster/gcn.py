@@ -108,20 +108,14 @@ def _aggregate_last(h, d_out: int) -> bool:
     return sp.issparse(h) or h.shape[1] > d_out
 
 
-def input_aggregate(model: GcnModel, a_norm: sp.csr_matrix, x0):
-    """``A_norm @ x0`` if layer 0 runs as ``(A X0) W``: constant across epochs."""
-    return None if _aggregate_last(x0, model.layer_dims[1]) else a_norm @ x0
-
-
 def gcn_forward(
     model: GcnModel,
     a_norm: sp.csr_matrix,
     x0,
     tape: GradientTape | None = None,
-    ax0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run all GCN layers; returns the raw (untransformed) embedding matrix.
-    ``x0`` may be sparse; ``ax0`` is input_aggregate's product, if kept."""
+    ``x0`` may be a dense array or a scipy sparse matrix."""
     if x0.shape[1] != model.layer_dims[0]:
         raise ValueError(
             f"feature dim {x0.shape[1]} != model input dim {model.layer_dims[0]}"
@@ -136,7 +130,7 @@ def gcn_forward(
         if _aggregate_last(h, w.shape[1]):
             pre = a_norm @ (h @ w)
         else:
-            h = ax0 if layer == 0 and ax0 is not None else a_norm @ h
+            h = a_norm @ h
             pre = h @ w
         out = selu(pre)
         if not np.all(np.isfinite(out)):
@@ -230,16 +224,14 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
         w, h = tape.weights[layer], tape.inputs[layer]
         dpre = _selu_grad(tape.outputs[layer])
         dpre *= g
-        # an aggregated operand is dense with <= d_out columns: same order
-        if _aggregate_last(h, w.shape[1]):
-            p = tape.a_norm @ dpre  # A_norm is symmetric: one SpMM serves both
-            grads[layer] = h.T @ p
-            if layer > 0:
-                g = p @ w.T
-        else:
-            grads[layer] = h.T @ dpre
-            if layer > 0:
-                g = tape.a_norm @ (dpre @ w.T)
+        # the rule applied to the recorded operand repeats the forward order
+        # (A_norm @ H is dense with d_in <= d_out columns); in A (H W) layers
+        # the symmetric A_norm lets P = A_norm @ dpre give grad W = H' P, dH = P W'
+        last = _aggregate_last(h, w.shape[1])
+        p = tape.a_norm @ dpre if last else dpre
+        grads[layer] = h.T @ p
+        if layer > 0:
+            g = p @ w.T if last else tape.a_norm @ (dpre @ w.T)
     return grads
 
 

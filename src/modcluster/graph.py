@@ -5,7 +5,7 @@ can be produced from any source:
 
 * ``edges.tsv``    -- one ``u v`` pair per line, 0-based ids, ``#`` comments.
 * ``features.tsv`` -- dense rows, or a ``sparse n r`` header followed by
-  ``i j value`` triplets (unlisted entries are 0), loaded as scipy CSR.
+  ``i j value`` triplets (unlisted entries are 0).
 * ``labels.tsv``   -- ``node_id label_id`` per line; absent nodes are unlabeled.
 * ``partition.tsv``-- ``node_id cluster_id`` per line (same shape as labels).
 """
@@ -160,13 +160,16 @@ def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
     return from_edges(pairs, num_nodes)
 
 
-def load_features(path, n: int | None = None) -> np.ndarray | sp.csr_matrix:
-    """Load an n-by-r feature matrix: an ndarray or, for a sparse file, CSR.
+def load_features(
+    path, n: int | None = None, sparse: bool = False
+) -> np.ndarray | sp.csr_matrix:
+    """Load an n-by-r feature matrix.
 
     Either one dense whitespace-separated row per node, or a header line
     ``sparse n r`` followed by ``i j value`` triplets (the last of a repeated
     ``i j`` wins). When ``n`` is omitted it is taken from the row count or
-    the sparse header.
+    the sparse header. Dense rows load as an ndarray; a sparse file loads as
+    scipy CSR with ``sparse=True`` and is densified otherwise.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -179,7 +182,7 @@ def load_features(path, n: int | None = None) -> np.ndarray | sp.csr_matrix:
             if n is not None and n_file != n:
                 raise ValueError(f"{path}: sparse header n={n_file}, expected {n}")
             n = n_file
-            cells, values = [], []
+            cells = {}
             for lineno, line in enumerate(fh, start=2):
                 text = line.split("#", 1)[0].strip()
                 if not text:
@@ -192,12 +195,12 @@ def load_features(path, n: int | None = None) -> np.ndarray | sp.csr_matrix:
                 )
                 if not (0 <= i < n and 0 <= j < r):
                     raise ValueError(f"{path}:{lineno}: index out of range")
-                cells.append(i * r + j)
-                values.append(v)
-            # first occurrences in the reversed file are the last ones written
-            cells, last = np.unique(np.array(cells[::-1], dtype=np.int64), return_index=True)
-            values = np.array(values[::-1], dtype=np.float64)[last]
-            data = sp.csr_matrix((values, (cells // r, cells % r)), shape=(n, r))
+                cells[i * r + j] = v
+            keys = np.fromiter(cells, np.int64, len(cells))
+            values = np.fromiter(cells.values(), np.float64, len(cells))
+            data = sp.csr_matrix((values, (keys // r, keys % r)), shape=(n, r))
+            if not sparse:
+                data = data.toarray()
         else:
             fh.seek(0)
             rows = []

@@ -224,10 +224,9 @@ def train_epochs(
     them all at each epoch's end lets malloc trim the heap, and at n=16k the
     next epoch then takes ~5k more page faults and runs ~7% slower.
     """
-    ax0 = gcn.input_aggregate(model, a_norm, features)  # the same every epoch
     while True:
         tape = gcn.GradientTape()
-        raw = gcn.gcn_forward(model, a_norm, features, tape, ax0=ax0)
+        raw = gcn.gcn_forward(model, a_norm, features, tape)
         x = gcn.transform_embeddings(raw, tape)
         report, dldx = total_loss(x, g, aux)
         if not np.isfinite(report.total):
@@ -288,7 +287,7 @@ def write_metrics_csv(
 def cmd_train(config: RunConfig) -> RunArtifacts:
     """Train over all configured seeds and write the artifact set."""
     config.validate()
-    features = load_features(config.features)
+    features = load_features(config.features, sparse=True)
     g = load_graph(config.edges, features.shape[0])
     labels = load_labels(config.labels, g.n) if config.labels else None
     a_norm = normalized_adjacency(g)
@@ -331,7 +330,7 @@ def cmd_eval(
     params = BirchParams(birch_threshold, branching_factor)
     check_sample_size(f1_sample_size)
     model = gcn.load_checkpoint(checkpoint_path)
-    features = load_features(features_path)
+    features = load_features(features_path, sparse=True)
     g = load_graph(edges_path, features.shape[0])
     labels = load_labels(labels_path, g.n) if labels_path else None
     a_norm = normalized_adjacency(g)

@@ -276,9 +276,8 @@ class TestBackward:
         g, a_norm, feats, model = self.setup_small(seed=6, dims=dims)
         if csr:
             feats = sp.csr_matrix(np.where(np.abs(feats) > 0.7, feats, 0.0))
-        ax0 = gcn.input_aggregate(model, a_norm, feats)
         tape = GradientTape()
-        raw = mc.gcn_forward(model, a_norm, feats, tape, ax0=ax0)
+        raw = mc.gcn_forward(model, a_norm, feats, tape)
         x = mc.transform_embeddings(raw, tape)
         _, dldx = mc.total_loss(x, g, None)
         analytic = mc.backward(tape, dldx)
@@ -286,7 +285,6 @@ class TestBackward:
             gcn._aggregate_last(h, w.shape[1]) for h, w in zip(tape.inputs, model.weights)
         ]
         assert orders == aggregate_last
-        assert (tape.inputs[0] is ax0) == (not aggregate_last[0])
         numeric = fd_weight_grads(
             lambda m: total_loss_value(m, a_norm, feats, g, None), model
         )

@@ -69,14 +69,14 @@ class TestLoadFeatures:
 
     def test_sparse(self, tmp_path):
         path = write(tmp_path, "features.tsv", "sparse 3 4\n0 2 1.5\n")
-        feats = mc.load_features(path, 3).toarray()
+        feats = mc.load_features(path, 3)
         assert feats.shape == (3, 4)
         assert feats[0, 2] == 1.5
         assert np.count_nonzero(feats) == 1
 
     def test_sparse_file_loads_as_csr(self, tmp_path):
         path = write(tmp_path, "features.tsv", "sparse 3 4\n2 1 -1\n0 3 2\n0 0 1\n")
-        feats = mc.load_features(path)
+        feats = mc.load_features(path, sparse=True)
         assert sp.issparse(feats) and feats.format == "csr"
         assert feats.has_canonical_format
         np.testing.assert_array_equal(
@@ -85,20 +85,23 @@ class TestLoadFeatures:
 
     def test_sparse_repeated_cell_keeps_last_value(self, tmp_path):
         path = write(tmp_path, "features.tsv", "sparse 2 2\n0 1 5\n1 0 1\n0 1 3\n0 1 7\n")
-        feats = mc.load_features(path, 2)
+        feats = mc.load_features(path, 2, sparse=True)
         assert feats.nnz == 2
         np.testing.assert_array_equal(feats.toarray(), [[0, 7], [1, 0]])
+        np.testing.assert_array_equal(mc.load_features(path, 2), [[0, 7], [1, 0]])
 
     def test_dense_rows_load_as_ndarray(self, tmp_path):
         path = write(tmp_path, "features.tsv", "1 2\n3 4\n")
-        feats = mc.load_features(path)
-        assert type(feats) is np.ndarray
-        np.testing.assert_array_equal(feats, [[1, 2], [3, 4]])
+        for sparse in (False, True):
+            feats = mc.load_features(path, sparse=sparse)
+            assert type(feats) is np.ndarray
+            np.testing.assert_array_equal(feats, [[1, 2], [3, 4]])
 
     def test_sparse_non_finite(self, tmp_path):
         path = write(tmp_path, "features.tsv", "sparse 2 2\n0 1 inf\n")
-        with pytest.raises(ValueError, match="non-finite"):
-            mc.load_features(path, 2)
+        for sparse in (False, True):
+            with pytest.raises(ValueError, match="non-finite"):
+                mc.load_features(path, 2, sparse=sparse)
 
     def test_row_count_mismatch(self, tmp_path):
         path = write(tmp_path, "features.tsv", "1 1\n1 1\n")
