@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import parse_line
+from .graph import parse_rows, read_records, reject_rows
 
 # full-precision self-normalizing constants; rounded values break convergence
 SELU_SCALE = 1.0507009873554804
@@ -66,11 +67,11 @@ class GcnModel:
     weights: list[np.ndarray]
 
 
-def check_layer_dims(layer_dims) -> None:
+def check_layer_dims(layer_dims, where: str = "") -> None:
     if len(layer_dims) < 2:
-        raise ValueError("layer_dims must chain at least input -> output")
+        raise ValueError(f"{where}layer_dims must chain at least input -> output")
     if any(d <= 0 for d in layer_dims):
-        raise ValueError("layer dimensions must be positive")
+        raise ValueError(f"{where}layer dimensions must be positive")
 
 
 def init_model(layer_dims: list[int], seed: int) -> GcnModel:
@@ -284,25 +285,21 @@ def save_checkpoint(path, model: GcnModel) -> None:
 def load_checkpoint(path) -> GcnModel:
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
-        if header != CHECKPOINT_HEADER:
-            raise ValueError(f"{path}: unrecognized checkpoint header {header!r}")
-        dims_line = fh.readline().split()
-        if not dims_line or dims_line[0] != "dims":
-            raise ValueError(f"{path}: missing dims line")
-        dims = parse_line(path, 2, lambda: [int(d) for d in dims_line[1:]])
-        if len(dims) < 2:
-            raise ValueError(f"{path}: dims line must list at least two sizes")
-        weights = []
-        lineno = 2
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            rows = []
-            for _ in range(fan_in):
-                line = fh.readline()
-                lineno += 1
-                if not line:
-                    raise ValueError(f"{path}: truncated checkpoint")
-                rows.append(parse_line(path, lineno, lambda: np.array(line.split(), float)))
-                if len(rows[-1]) != fan_out:
-                    raise ValueError(f"{path}:{lineno}: weight row width != {fan_out}")
-            weights.append(np.vstack(rows))
+    if header != CHECKPOINT_HEADER:
+        raise ValueError(f"{path}: unrecognized checkpoint header {header!r}")
+    records = read_records(path)
+    lineno, fields = next(records, (0, []))
+    if fields[:1] != ["dims"]:
+        raise ValueError(f"{path}: missing dims line")
+    dims = parse_rows(path, dtype=np.int64, records=[(lineno, fields[1:])])[0][0].tolist()
+    check_layer_dims(dims, f"{path}:{lineno}: ")
+    weights = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w, linenos = parse_rows(path, fan_out, records=islice(records, fan_in))
+        if len(w) < fan_in:
+            raise ValueError(f"{path}: truncated checkpoint")
+        reject_rows(path, linenos, ~np.isfinite(w).all(axis=1), "non-finite weight")
+        weights.append(w)
+    for lineno, _ in records:
+        raise ValueError(f"{path}:{lineno}: row after the last layer")
     return GcnModel(dims, weights)

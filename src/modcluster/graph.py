@@ -1,9 +1,10 @@
 """Immutable sparse-adjacency graph, dataset I/O, and synthetic graph generation.
 
-The on-disk formats are plain whitespace/tab-separated text so that datasets
-can be produced from any source:
+Every input, checkpoints included, is text in one grammar: whitespace-separated
+fields, ``#`` comments and blank lines. ``parse_rows`` reads every data row, and
+a rejected row names its ``file:line``.
 
-* ``edges.tsv``    -- one ``u v`` pair per line, 0-based ids, ``#`` comments.
+* ``edges.tsv``    -- one ``u v`` pair per line, 0-based ids.
 * ``features.tsv`` -- dense rows, or a ``sparse n r`` header followed by
   ``i j value`` triplets (unlisted entries are 0).
 * ``labels.tsv``   -- ``node_id label_id`` per line; absent nodes are unlabeled.
@@ -13,7 +14,9 @@ can be produced from any source:
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,30 +114,53 @@ class Partition:
         return np.bincount(self.assignment, minlength=self.k)
 
 
-def parse_line(path, lineno: int, convert):
-    """``convert()`` of one text line's fields; a non-numeric field raises a
-    ValueError naming ``path:lineno``."""
-    try:
-        return convert()
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: non-numeric field") from None
-
-
-def _parse_int_pairs(path) -> tuple[np.ndarray, list[int]]:
-    """Read whitespace-separated integer pairs, skipping blanks and # comments."""
-    pairs = []
-    linenos = []
+def read_records(path) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, fields)`` for each line with text outside its ``#`` comment."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two fields, got {len(parts)}")
-            pairs.append(parse_line(path, lineno, lambda: (int(parts[0]), int(parts[1]))))
-            linenos.append(lineno)
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), linenos
+            fields = line.partition("#")[0].split()
+            if fields:
+                yield lineno, fields
+
+
+def parse_rows(path, width=None, dtype=np.float64, records=None, convert=None):
+    """The records of ``path`` (or the given ``(lineno, fields)`` iterator) as a
+    ``dtype`` array, one row each, and their line numbers. Each must have
+    ``width`` fields (the first record's count when None). A row is
+    ``convert(fields)``, by default ``np.array(fields, dtype)`` (slower on short
+    rows); a field that does not convert is named ``path:line: non-numeric field``.
+    """
+    convert = convert or partial(np.array, dtype=dtype)
+    chunks, rows, linenos = [], [], []
+    for lineno, fields in read_records(path) if records is None else records:
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+        try:
+            rows.append(convert(fields))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric field") from None
+        linenos.append(lineno)
+        if len(rows) == 256:  # below gc's 700-allocation threshold: no GC pass scans rows
+            chunks.append(np.array(rows, dtype))
+            rows = []
+    chunks.append(np.array(rows, dtype).reshape(len(rows), width or 0))
+    return np.concatenate(chunks), linenos
+
+
+def reject_rows(path, linenos, bad: np.ndarray, message: str) -> None:
+    """Raise ``path:line: message`` for the first row flagged in ``bad``."""
+    if bad.any():
+        raise ValueError(f"{path}:{linenos[int(np.argmax(bad))]}: {message}")
+
+
+def _int_pair(fields) -> tuple[int, int]:
+    return int(fields[0]), int(fields[1])
+
+
+def _sparse_cell(fields) -> tuple[int, int, float]:
+    return int(fields[0]), int(fields[1]), float(fields[2])
 
 
 def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
@@ -144,19 +170,13 @@ def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
     are dropped. When ``num_nodes`` is omitted it is inferred as max id + 1.
     A file without edges is rejected: modularity needs m > 0.
     """
-    pairs, linenos = _parse_int_pairs(edge_path)
+    pairs, linenos = parse_rows(edge_path, 2, np.int64, convert=_int_pair)
     if len(pairs) == 0:
         raise ValueError(f"{edge_path}: empty edge file")
-    if pairs.min() < 0:
-        bad = int(np.argmax((pairs < 0).any(axis=1)))
-        raise ValueError(f"{edge_path}:{linenos[bad]}: negative node id")
     if num_nodes is None:
         num_nodes = int(pairs.max()) + 1
-    elif pairs.max() >= num_nodes:
-        bad = int(np.argmax((pairs >= num_nodes).any(axis=1)))
-        raise ValueError(
-            f"{edge_path}:{linenos[bad]}: node id >= num_nodes ({num_nodes})"
-        )
+    bad = ((pairs < 0) | (pairs >= num_nodes)).any(axis=1)
+    reject_rows(edge_path, linenos, bad, f"node id outside [0, num_nodes={num_nodes})")
     return from_edges(pairs, num_nodes)
 
 
@@ -171,95 +191,71 @@ def load_features(
     the sparse header. Dense rows load as an ndarray; a sparse file loads as
     scipy CSR with ``sparse=True`` and is densified otherwise.
     """
-    with open(path) as fh:
-        first = fh.readline()
-        head = first.split("#", 1)[0].strip()
-        if head.startswith("sparse"):
-            parts = head.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:1: sparse header must be 'sparse n r'")
-            n_file, r = parse_line(path, 1, lambda: (int(parts[1]), int(parts[2])))
-            if n is not None and n_file != n:
-                raise ValueError(f"{path}: sparse header n={n_file}, expected {n}")
-            n = n_file
-            cells = {}
-            for lineno, line in enumerate(fh, start=2):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                parts = text.split()
-                if len(parts) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected 'i j value'")
-                i, j, v = parse_line(
-                    path, lineno, lambda: (int(parts[0]), int(parts[1]), float(parts[2]))
-                )
-                if not (0 <= i < n and 0 <= j < r):
-                    raise ValueError(f"{path}:{lineno}: index out of range")
-                cells[i * r + j] = v
-            keys = np.fromiter(cells, np.int64, len(cells))
-            values = np.fromiter(cells.values(), np.float64, len(cells))
-            data = sp.csr_matrix((values, (keys // r, keys % r)), shape=(n, r))
-            if not sparse:
-                data = data.toarray()
-        else:
-            fh.seek(0)
-            rows = []
-            for lineno, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if text:
-                    rows.append(parse_line(path, lineno, lambda: np.array(text.split(), float)))
-            if n is not None and len(rows) != n:
-                raise ValueError(f"{path}: {len(rows)} feature rows, expected {n}")
-            if not rows:
-                raise ValueError(f"{path}: no feature rows")
-            widths = {len(r_) for r_ in rows}
-            if len(widths) != 1:
-                raise ValueError(f"{path}: inconsistent row widths {sorted(widths)}")
-            data = np.vstack(rows)
-    if not np.all(np.isfinite(data.data if sp.issparse(data) else data)):
-        raise ValueError(f"{path}: non-finite feature value")
+    records = read_records(path)
+    lineno, fields = next(records, (0, [""]))
+    if fields[0].startswith("sparse"):
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: sparse header must be 'sparse n r'")
+        n_file, r = parse_rows(path, 2, np.int64, records=[(lineno, fields[1:])])[0][0].tolist()
+        if n is not None and n_file != n:
+            raise ValueError(f"{path}: sparse header n={n_file}, expected {n}")
+        n = n_file
+        cells, linenos = parse_rows(path, 3, records=records, convert=_sparse_cell)
+        i, j = cells[:, 0].astype(np.int64), cells[:, 1].astype(np.int64)
+        reject_rows(path, linenos, (i < 0) | (i >= n) | (j < 0) | (j >= r), "index out of range")
+        # a repeated cell keeps its last row: the first one counted from the end
+        keys = (i * r + j)[::-1]
+        keep = len(keys) - 1 - np.unique(keys, return_index=True)[1]
+        bad = np.zeros(len(cells), dtype=bool)
+        bad[keep] = ~np.isfinite(cells[keep, 2])
+        reject_rows(path, linenos, bad, "non-finite feature value")
+        data = sp.csr_matrix((cells[keep, 2], (i[keep], j[keep])), shape=(n, r))
+        return data if sparse else data.toarray()
+    data, linenos = parse_rows(path)
+    if n is not None and len(data) != n:
+        raise ValueError(f"{path}: {len(data)} feature rows, expected {n}")
+    if not len(data):
+        raise ValueError(f"{path}: no feature rows")
+    reject_rows(path, linenos, ~np.isfinite(data).all(axis=1), "non-finite feature value")
     return data
 
 
 def load_labels(path, n: int) -> np.ndarray:
     """Load per-node integer labels; missing nodes get the UNLABELED sentinel."""
-    pairs, linenos = _parse_int_pairs(path)
+    pairs, linenos = parse_rows(path, 2, np.int64, convert=_int_pair)
+    nodes, labs = pairs.T
+    reject_rows(path, linenos, (nodes < 0) | (nodes >= n), "node id out of range")
+    reject_rows(path, linenos, labs < 0, "negative label id")
+    repeated = np.ones(len(nodes), dtype=bool)
+    repeated[np.unique(nodes, return_index=True)[1]] = False
+    reject_rows(path, linenos, repeated, "duplicate node id")
     labels = np.full(n, UNLABELED, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    for (node, lab), lineno in zip(pairs, linenos):
-        if not 0 <= node < n:
-            raise ValueError(f"{path}:{lineno}: node id {node} out of range")
-        if lab < 0:
-            raise ValueError(f"{path}:{lineno}: negative label id")
-        if seen[node]:
-            raise ValueError(f"{path}:{lineno}: duplicate node id {node}")
-        seen[node] = True
-        labels[node] = lab
+    labels[nodes] = labs
     return labels
 
 
 def load_pairs(path, n: int) -> np.ndarray:
     """Load same-cluster node pairs, one ``u v`` pair per line."""
-    pairs, linenos = _parse_int_pairs(path)
-    for (u, v), lineno in zip(pairs, linenos):
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"{path}:{lineno}: node id out of range")
-        if u == v:
-            raise ValueError(f"{path}:{lineno}: pair references a node with itself")
+    pairs, linenos = parse_rows(path, 2, np.int64, convert=_int_pair)
+    reject_rows(path, linenos, ((pairs < 0) | (pairs >= n)).any(axis=1), "node id out of range")
+    reject_rows(path, linenos, pairs[:, 0] == pairs[:, 1], "pair references a node with itself")
     return pairs
 
 
-def write_labels(path, labels: np.ndarray) -> None:
+def _write_int_pairs(path, u: np.ndarray, v: np.ndarray) -> None:
     with open(path, "w") as fh:
-        for node, lab in enumerate(labels):
-            if lab != UNLABELED:
-                fh.write(f"{node}\t{int(lab)}\n")
+        fh.writelines(f"{a}\t{b}\n" for a, b in zip(u.tolist(), v.tolist()))
+
+
+def write_labels(path, labels: np.ndarray) -> None:
+    nodes = np.flatnonzero(labels != UNLABELED)
+    _write_int_pairs(path, nodes, labels[nodes])
 
 
 def write_edges(path, g: Graph) -> None:
     """Write each undirected edge once as ``u<TAB>v`` with u < v, in (u, v) order."""
     upper = sp.triu(g.adj, k=1, format="csr").tocoo()
-    np.savetxt(path, np.column_stack([upper.row, upper.col]), fmt="%d", delimiter="\t")
+    _write_int_pairs(path, upper.row, upper.col)
 
 
 def write_features(path, features: np.ndarray) -> None:
@@ -267,9 +263,7 @@ def write_features(path, features: np.ndarray) -> None:
 
 
 def write_partition(path, partition: Partition) -> None:
-    with open(path, "w") as fh:
-        for node, cid in enumerate(partition.assignment):
-            fh.write(f"{node}\t{int(cid)}\n")
+    _write_int_pairs(path, np.arange(len(partition.assignment)), partition.assignment)
 
 
 def load_partition(path, n: int) -> Partition:
@@ -330,8 +324,6 @@ def generate_sbm(
     if not edges:
         raise ValueError("generated graph has no edges (m=0)")
     g = from_edges(np.concatenate(edges, axis=0), n)
-    if g.m == 0:
-        raise ValueError("generated graph has no edges (m=0)")
     part = Partition(planted, k=len(block_sizes))
     part.validate()
     return g, part

@@ -1,7 +1,7 @@
 """Hard-partition quality measures: modularity, conductance, NMI, pairwise F1.
 
-All values are returned on their natural [0, 1]-ish scales; any x100
-presentation for reports happens at the CLI layer.
+All values are returned on their natural [0, 1]-ish scales; pipeline._scaled
+writes them x100 to metrics.csv, and the CLI prints them x100.
 """
 
 from __future__ import annotations

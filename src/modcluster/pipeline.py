@@ -192,17 +192,9 @@ def train_single_seed(
         for epoch, r in enumerate(epochs, start=1)
     ]
 
-    x_final = transform_forward(model, a_norm, features)
-    partition = birch_fit(
-        x_final,
-        BirchParams(config.birch_threshold, config.branching_factor),
-    )
-    report = evaluate(
-        g,
-        partition,
-        labels=labels,
-        sample_size=config.f1_sample_size,
-        f1_seed=derive_seed(seed, "f1"),
+    params = BirchParams(config.birch_threshold, config.branching_factor)
+    partition, report = cluster_and_score(
+        model, g, a_norm, features, labels, params, config.f1_sample_size, seed
     )
     return SeedResult(seed, model, loss_rows, partition, report)
 
@@ -238,6 +230,22 @@ def train_epochs(
 def transform_forward(model: gcn.GcnModel, a_norm, features: np.ndarray) -> np.ndarray:
     """Inference pass: raw GCN output mapped onto the unit sphere."""
     return gcn.transform_embeddings(gcn.gcn_forward(model, a_norm, features))
+
+
+def cluster_and_score(
+    model, g: Graph, a_norm, features, labels, params: BirchParams, f1_sample_size: int, seed: int
+) -> tuple[Partition, MetricsReport]:
+    """Cut the model's embeddings into BIRCH clusters and score the partition."""
+    partition = birch_fit(transform_forward(model, a_norm, features), params)
+    return partition, evaluate(g, partition, labels, f1_sample_size, derive_seed(seed, "f1"))
+
+
+def load_inputs(edges_path, features_path, labels_path=None):
+    """The graph sized by the features, its normalized adjacency, the features and the labels."""
+    features = load_features(features_path, sparse=True)
+    g = load_graph(edges_path, features.shape[0])
+    labels = load_labels(labels_path, g.n) if labels_path else None
+    return g, normalized_adjacency(g), features, labels
 
 
 def _write_loss_csv(path: Path, rows) -> None:
@@ -287,10 +295,7 @@ def write_metrics_csv(
 def cmd_train(config: RunConfig) -> RunArtifacts:
     """Train over all configured seeds and write the artifact set."""
     config.validate()
-    features = load_features(config.features, sparse=True)
-    g = load_graph(config.edges, features.shape[0])
-    labels = load_labels(config.labels, g.n) if config.labels else None
-    a_norm = normalized_adjacency(g)
+    g, a_norm, features, labels = load_inputs(config.edges, config.features, config.labels)
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -330,19 +335,8 @@ def cmd_eval(
     params = BirchParams(birch_threshold, branching_factor)
     check_sample_size(f1_sample_size)
     model = gcn.load_checkpoint(checkpoint_path)
-    features = load_features(features_path, sparse=True)
-    g = load_graph(edges_path, features.shape[0])
-    labels = load_labels(labels_path, g.n) if labels_path else None
-    a_norm = normalized_adjacency(g)
-    x = transform_forward(model, a_norm, features)
-    partition = birch_fit(x, params)
-    return evaluate(
-        g,
-        partition,
-        labels=labels,
-        sample_size=f1_sample_size,
-        f1_seed=derive_seed(seed, "f1"),
-    )
+    g, a_norm, features, labels = load_inputs(edges_path, features_path, labels_path)
+    return cluster_and_score(model, g, a_norm, features, labels, params, f1_sample_size, seed)[1]
 
 
 def sbm_dataset(

@@ -327,6 +327,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="header"):
             mc.load_checkpoint(path)
 
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        model = mc.init_model([3, 2], seed=4)
+        path = tmp_path / "model.tsv"
+        mc.save_checkpoint(path, model)
+        header, dims, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, "# saved by a test", dims, "", *rows, "# end"]) + "\n")
+        loaded = mc.load_checkpoint(path)
+        assert loaded.layer_dims == [3, 2]
+        assert np.array_equal(loaded.weights[0], model.weights[0])
+
     def test_truncated(self, tmp_path):
         model = mc.init_model([4, 3], seed=0)
         path = tmp_path / "model.tsv"

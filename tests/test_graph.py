@@ -1,3 +1,6 @@
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -89,6 +92,10 @@ class TestLoadFeatures:
         assert feats.nnz == 2
         np.testing.assert_array_equal(feats.toarray(), [[0, 7], [1, 0]])
         np.testing.assert_array_equal(mc.load_features(path, 2), [[0, 7], [1, 0]])
+
+    def test_sparse_overwritten_value_is_not_checked(self, tmp_path):
+        path = write(tmp_path, "features.tsv", "sparse 1 1\n0 0 nan\n0 0 2\n")
+        np.testing.assert_array_equal(mc.load_features(path), [[2.0]])
 
     def test_dense_rows_load_as_ndarray(self, tmp_path):
         path = write(tmp_path, "features.tsv", "1 2\n3 4\n")
@@ -244,6 +251,14 @@ def test_validate_rejects_malformed_adjacency(adj, message):
         mc.Graph(adj).validate()
 
 
+labels3 = partial(mc.load_labels, n=3)
+pairs3 = partial(mc.load_pairs, n=3)
+partition3 = partial(mc.load_partition, n=3)
+graph3 = partial(mc.load_graph, num_nodes=3)
+HEADER = "#gcn-checkpoint v1\n"
+CHECKPOINT = HEADER + "dims\t2 1\n"
+
+
 @pytest.mark.parametrize(
     "loader, text, line",
     [
@@ -251,12 +266,62 @@ def test_validate_rejects_malformed_adjacency(adj, message):
         (mc.load_features, "sparse 2 2\n0 1 1.0\n0 x 1.0\n", 3),
         (mc.load_features, "sparse 2 two\n", 1),
         (mc.load_checkpoint, "#gcn-checkpoint v1\ndims\t2 1\n0.5\nx\n", 4),
+        (mc.load_checkpoint, HEADER + "dims\t2 x\n", 2),
+        (mc.load_graph, "0 1\n# note\n1 2.5\n", 3),
+        (labels3, "0 0\n1 b\n", 2),
+        (pairs3, "\n0 1\n1 two\n", 3),
     ],
-    ids=["dense-row", "sparse-triplet", "sparse-header", "checkpoint-row"],
+    ids=[
+        "dense-row", "sparse-triplet", "sparse-header", "checkpoint-row",
+        "checkpoint-dims", "edge", "label", "pair",
+    ],
 )
 def test_non_numeric_field_names_line(tmp_path, loader, text, line):
     path = write(tmp_path, "input.tsv", text)
     with pytest.raises(ValueError, match=f"input.tsv:{line}: non-numeric field"):
+        loader(path)
+
+
+@pytest.mark.parametrize(
+    "loader, text, line, message",
+    [
+        (mc.load_graph, "0 1\n1 2 3\n", 2, "expected 2 fields, got 3"),
+        (mc.load_graph, "0 1\n2 -1\n", 2, "node id outside [0, num_nodes=3)"),
+        (graph3, "0 1\n\n1 3\n", 3, "node id outside [0, num_nodes=3)"),
+        (mc.load_features, "1 2\n3\n", 2, "expected 2 fields, got 1"),
+        (mc.load_features, "1 2\n# note\n3 nan\n", 3, "non-finite feature value"),
+        (mc.load_features, "sparse 2 2\n0 1\n", 2, "expected 3 fields, got 2"),
+        (mc.load_features, "sparse 2 2\n0 1 1\n0 2 1\n", 3, "index out of range"),
+        (mc.load_features, "sparse 2 2\n0 1 1\n1 1 -inf\n", 3, "non-finite feature value"),
+        (mc.load_features, "sparse 2\n", 1, "sparse header must be 'sparse n r'"),
+        (labels3, "0 0 0\n", 1, "expected 2 fields, got 3"),
+        (labels3, "0 0\n3 1\n", 2, "node id out of range"),
+        (labels3, "0 0\n1 -2\n", 2, "negative label id"),
+        (labels3, "0 0\n1 0\n0 1\n", 3, "duplicate node id"),
+        (partition3, "0 0\n1 0\n2 1\n1 1\n", 4, "duplicate node id"),
+        (pairs3, "0 1 2\n", 1, "expected 2 fields, got 3"),
+        (pairs3, "0 1\n1 3\n", 2, "node id out of range"),
+        (pairs3, "0 1\n2 2\n", 2, "pair references a node with itself"),
+        (mc.load_checkpoint, CHECKPOINT + "0.5\n0.5 1\n", 4, "expected 1 fields, got 2"),
+        (mc.load_checkpoint, CHECKPOINT + "0.5\nnan\n", 4, "non-finite weight"),
+        (mc.load_checkpoint, CHECKPOINT + "0.5\n0.5\n\n1.5\n", 6, "row after the last layer"),
+        (mc.load_checkpoint, HEADER + "dims\t-1 2\n", 2, "layer dimensions must be positive"),
+        (mc.load_checkpoint, HEADER + "dims\t2 0\n0\n0\n", 2, "layer dimensions must be positive"),
+        (mc.load_checkpoint, HEADER + "dims\t3\n", 2, "layer_dims must chain at least input"),
+    ],
+    ids=[
+        "edge-fields", "edge-negative", "edge-range",
+        "dense-width", "dense-non-finite",
+        "sparse-fields", "sparse-range", "sparse-non-finite", "sparse-header",
+        "label-fields", "label-range", "label-negative", "label-duplicate",
+        "partition-duplicate", "pair-fields", "pair-range", "pair-self",
+        "checkpoint-width", "checkpoint-non-finite", "checkpoint-trailing",
+        "checkpoint-negative-dims", "checkpoint-zero-dims", "checkpoint-one-dim",
+    ],
+)
+def test_rejected_row_names_line(tmp_path, loader, text, line, message):
+    path = write(tmp_path, "input.tsv", text)
+    with pytest.raises(ValueError, match=re.escape(f"input.tsv:{line}: {message}")):
         loader(path)
 
 

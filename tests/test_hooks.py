@@ -7,7 +7,8 @@ attributes, ``AdamState.step`` counts the steps, ``CfTree.leaf_entries``
 takes only the tree, so a one-argument wrapper can replace it, an internal
 CF-tree node's ``entries[i].child`` is its i-th child (the tree-depth
 probe walks it), a bare ``GradientTape()`` records the transform's row
-masks, and the normalized adjacency is a matrix of its own.
+masks, the normalized adjacency is a matrix of its own, and train and eval
+read their inputs through the loaders' module attributes.
 """
 
 import inspect
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import modcluster as mc
-from modcluster import birch, gcn, pipeline
+from modcluster import birch, gcn, graph, pipeline
 
 
 def wrap_everywhere(monkeypatch, module, attr):
@@ -109,3 +110,22 @@ def test_normalized_adjacency_is_not_the_graph_matrix(sbm):
     # time the loss's A @ X as GCN work too
     g = sbm[0]
     assert mc.normalized_adjacency(g) is not g.adj
+
+
+def test_train_and_eval_load_through_module_attributes(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    pipeline.cmd_generate([10, 10], 0.6, 0.05, 1, data)
+    inputs = {name: str(data / f"{name}.tsv") for name in ("edges", "features", "labels")}
+    loads = [
+        wrap_everywhere(monkeypatch, graph, name)
+        for name in ("load_features", "load_graph", "load_labels")
+    ]
+    checkpoints = wrap_everywhere(monkeypatch, gcn, "load_checkpoint")
+    config = mc.RunConfig(
+        **inputs, hidden_dims=[4], epochs=2, seeds=[0], out_dir=str(tmp_path / "out")
+    )
+    pipeline.cmd_train(config)
+    assert [len(calls) for calls in loads] == [1, 1, 1]
+    pipeline.cmd_eval(tmp_path / "out" / "checkpoint_seed0.tsv", *inputs.values())
+    assert [len(calls) for calls in loads] == [2, 2, 2]
+    assert len(checkpoints) == 1
