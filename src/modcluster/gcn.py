@@ -7,13 +7,28 @@ mapped onto the nonnegative part of the unit sphere by a four-step row
 transform: divide by the row sum, tanh, elementwise square, L2-normalize. All
 gradients are computed in closed form against intermediates recorded on a
 GradientTape; SELU' comes from the output: ``out + SCALE * ALPHA`` if out < 0.
+
+From 10^6 elements on, the n-row work runs in row blocks (``_row_runs``),
+shared out over every core in the process's CPU affinity: SELU, SELU' times
+the upstream gradient and the transform in blocks of about 2^15 elements that
+stay in cache, products and SpMMs in blocks of about 2^18 output elements, and
+``H' P`` in blocks of 64 columns of P. numpy's OpenBLAS is then held to one
+thread for the rest of the process (its idle threads would spin on those
+cores; without its thread setter no pool starts). Blocks depend only on array
+shapes and each is one call whichever thread runs it, so a pooled run's outputs
+are byte-identical for any core count; ``taskset -c 0`` gives a serial run.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,28 +49,130 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+_BLOCK_ELEMENTS = 1 << 15  # 256 KiB of float64: a block's temporaries stay in L2
+_PRODUCT_ELEMENTS = 1 << 18  # a split product has 4 or more blocks
+_POOL_MIN_ELEMENTS = 10**6  # smaller kernels run whole on the calling thread
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
 
 class DivergenceError(ValueError):
     """A non-finite activation, gradient or loss: the seed cannot continue."""
 
 
-def selu(x):
-    """Scaled exponential linear unit, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    neg = np.minimum(x, 0.0, out=np.empty_like(x))
-    np.expm1(neg, out=neg)
-    neg *= SELU_SCALE * SELU_ALPHA
-    out = np.maximum(x, 0.0, out=np.empty_like(x))
-    out *= SELU_SCALE
-    out += neg
+@cache
+def _pool() -> ThreadPoolExecutor | None:
+    """The worker threads, started once numpy's OpenBLAS is held to one thread."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="modcluster")
+    return None
+
+
+def _row_runs(kernel, n: int, cols: int, step: int = 0) -> list:
+    """``kernel(lo, hi)`` over rows [0, n) of an n x cols array; returns its
+    results in row order. Below _POOL_MIN_ELEMENTS elements it is one call.
+    Above, it runs on consecutive blocks of ``step`` rows (by default about
+    _BLOCK_ELEMENTS elements), and each usable core takes one contiguous run
+    of blocks, the calling thread the first. A kernel writes only its own
+    rows and calls no module attribute, which a caller may have wrapped."""
+    if n * cols < _POOL_MIN_ELEMENTS:
+        return [kernel(0, n)]
+    step = step or max(_BLOCK_ELEMENTS // max(cols, 1), 1)
+    starts = range(0, n, step)
+
+    def run(starts):
+        return [kernel(lo, min(lo + step, n)) for lo in starts]
+
+    pool = _pool() if _WORKERS > 1 else None
+    if pool is None:
+        return run(starts)
+    cut = [len(starts) * i // _WORKERS for i in range(_WORKERS + 1)]
+    futures = [pool.submit(run, starts[a:b]) for a, b in zip(cut[1:-1], cut[2:]) if a < b]
+    return run(starts[: cut[1]]) + [r for future in futures for r in future.result()]
+
+
+def _matmul(a, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a dense or CSR ``a``, in row blocks when large."""
+    n, cols = a.shape[0], b.shape[1]
+    if n * cols < _POOL_MIN_ELEMENTS:  # scipy's @: a RowBlockCsr's own @ calls back here
+        return sp.csr_matrix.__matmul__(a, b) if sp.issparse(a) else a @ b
+    out = np.empty((n, cols), dtype=np.result_type(a.dtype, b.dtype))
+
+    def kernel(lo, hi):
+        if not sp.issparse(a):
+            return np.matmul(a[lo:hi], b, out=out[lo:hi])
+        # a plain csr_matrix: a slice of a would keep its class and any @ hook
+        s, e = a.indptr[lo], a.indptr[hi]
+        rows = (a.data[s:e], a.indices[s:e], a.indptr[lo : hi + 1] - s)
+        out[lo:hi] = sp.csr_matrix(rows, shape=(hi - lo, a.shape[1])) @ b
+
+    _row_runs(kernel, n, cols, max(_PRODUCT_ELEMENTS // cols, 1))
     return out
 
 
-def _selu_grad(out: np.ndarray) -> np.ndarray:
-    """SELU' from SELU's output: out + SCALE * ALPHA where out < 0, else SCALE."""
-    d = out + (SELU_SCALE * SELU_ALPHA - SELU_SCALE)
-    d *= out < 0.0
-    d += SELU_SCALE
+def _gram(h, p: np.ndarray) -> np.ndarray:
+    """``h.T @ p``, in blocks of P's columns when large: each entry still sums
+    over all n rows."""
+    n, cols = p.shape
+    if n * cols < _POOL_MIN_ELEMENTS or h.shape[1] < 64:  # a narrow H is cheaper whole
+        return h.T @ p
+    out = np.empty((h.shape[1], cols))
+
+    def kernel(lo, hi):
+        out[:, lo:hi] = h.T @ p[:, lo:hi]
+
+    _row_runs(kernel, cols, n, 64)
+    return out
+
+
+class RowBlockCsr(sp.csr_matrix):
+    """CSR matrix whose product with a dense 2-d array runs in row blocks."""
+
+    def __matmul__(self, other):
+        if type(other) is np.ndarray and other.ndim == 2:
+            return _matmul(self, other)
+        return super().__matmul__(other)
+
+
+def selu(x):
+    """Scaled exponential linear unit, elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    x_rows, out_rows = np.atleast_2d(x, out)
+
+    def kernel(lo, hi):
+        neg = np.minimum(x_rows[lo:hi], 0.0)
+        np.expm1(neg, out=neg)
+        neg *= SELU_SCALE * SELU_ALPHA
+        o = np.maximum(x_rows[lo:hi], 0.0, out=out_rows[lo:hi])
+        o *= SELU_SCALE
+        o += neg
+
+    _row_runs(kernel, *out_rows.shape)
+    return out
+
+
+def _selu_grad(out: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """SELU' (times ``g``, when given), from SELU's output: SELU' is
+    out + SCALE * ALPHA where out < 0, else SCALE."""
+    d = np.empty_like(out)
+
+    def kernel(lo, hi):
+        o = out[lo:hi]
+        db = np.add(o, SELU_SCALE * SELU_ALPHA - SELU_SCALE, out=d[lo:hi])
+        db *= o < 0.0
+        db += SELU_SCALE
+        if g is not None:
+            db *= g[lo:hi]
+
+    _row_runs(kernel, *out.shape)
     return d
 
 
@@ -126,13 +243,13 @@ def gcn_forward(
         tape.inputs.clear()
         tape.outputs.clear()
         tape.weights = model.weights
-    h = x0
+    h = x0.tocsr() if sp.issparse(x0) else x0  # row blocks of a sparse H need CSR
     for layer, w in enumerate(model.weights):
         if _aggregate_last(h, w.shape[1]):
-            pre = a_norm @ (h @ w)
+            pre = a_norm @ _matmul(h, w)
         else:
             h = a_norm @ h
-            pre = h @ w
+            pre = _matmul(h, w)
         out = selu(pre)
         if not np.all(np.isfinite(out)):
             raise DivergenceError(f"non-finite activation in layer {layer}")
@@ -156,30 +273,34 @@ def transform_embeddings(
     x_raw = np.asarray(x_raw, dtype=np.float64)
     if x_raw.ndim != 2 or x_raw.shape[0] < 1:
         raise ValueError("expected a nonempty 2-d embedding matrix")
-    k = x_raw.shape[1]
+    n, k = x_raw.shape
+    sums, norms = np.empty(n), np.empty(n)
+    divided, degenerate = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    y, z, out = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
 
-    sums = x_raw.sum(axis=1)
-    divided = np.abs(sums) > ROW_SUM_EPS
+    def kernel(lo, hi):
+        s = x_raw[lo:hi].sum(axis=1, out=sums[lo:hi])
+        div = np.greater(np.abs(s), ROW_SUM_EPS, out=divided[lo:hi])
+        # skipped rows divide by 1.0, so no row needs a masked copy
+        yb = np.divide(x_raw[lo:hi], np.where(div, s, 1.0)[:, None], out=y[lo:hi])
+        zb = np.tanh(yb, out=z[lo:hi])
+        q = zb * zb
+        nb = norms[lo:hi] = np.linalg.norm(q, axis=1)
+        deg = np.less(nb, DEGENERATE_NORM_EPS, out=degenerate[lo:hi])
+        ob = np.divide(q, np.where(deg, 1.0, nb)[:, None], out=out[lo:hi])
+        ob[deg] = 1.0 / np.sqrt(k)
+
+    _row_runs(kernel, n, k)
     if not np.all(divided):
         warnings.warn(
             f"{int((~divided).sum())} row(s) with near-zero sum: row-sum "
             "normalization skipped for them"
         )
-    # skipped rows divide by 1.0, so no row needs a masked copy
-    y = x_raw / np.where(divided, sums, 1.0)[:, None]
-
-    z = np.tanh(y)
-    q = z * z
-
-    norms = np.linalg.norm(q, axis=1)
-    degenerate = norms < DEGENERATE_NORM_EPS
     if np.any(degenerate):
         warnings.warn(
             f"{int(degenerate.sum())} degenerate row(s) replaced by the "
             "uniform unit vector"
         )
-    out = q / np.where(degenerate, 1.0, norms)[:, None]
-    out[degenerate] = 1.0 / np.sqrt(k)
 
     if tape is not None:
         tape.row_sums = sums
@@ -206,33 +327,40 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
     if tape.output is not None:
         if g.shape != tape.output.shape:
             raise ValueError("gradient shape does not match transformed output")
-        u, z, y = tape.output, tape.after_tanh, tape.after_div
-        degenerate, divided = tape.degenerate_mask, tape.divided_mask
-        # L2 normalization: rows replaced by a constant get zero gradient
-        dots = np.einsum("ij,ij->i", g, u)
-        gq = (g - dots[:, None] * u) / np.where(degenerate, 1.0, tape.norms)[:, None]
-        gq[degenerate] = 0.0
-        # square, then tanh
-        gy = gq * 2.0 * z * (1.0 - z * z)
-        # row-sum division (identity where it was skipped)
-        rowdots = np.where(divided, np.einsum("ij,ij->i", gy, y), 0.0)
-        g = (gy - rowdots[:, None]) / np.where(divided, tape.row_sums, 1.0)[:, None]
+        g_out, g = g, np.empty_like(g)
+
+        def kernel(lo, hi):
+            gb, u, z = g_out[lo:hi], tape.output[lo:hi], tape.after_tanh[lo:hi]
+            degenerate, divided = tape.degenerate_mask[lo:hi], tape.divided_mask[lo:hi]
+            # L2 normalization: rows replaced by a constant get zero gradient
+            dots = np.einsum("ij,ij->i", gb, u)
+            gq = (gb - dots[:, None] * u) / np.where(degenerate, 1.0, tape.norms[lo:hi])[:, None]
+            gq[degenerate] = 0.0
+            # square, then tanh
+            gy = gq * 2.0 * z * (1.0 - z * z)
+            # row-sum division (identity where it was skipped)
+            rowdots = np.where(divided, np.einsum("ij,ij->i", gy, tape.after_div[lo:hi]), 0.0)
+            np.divide(
+                gy - rowdots[:, None], np.where(divided, tape.row_sums[lo:hi], 1.0)[:, None],
+                out=g[lo:hi],
+            )
+
+        _row_runs(kernel, *g.shape)
 
     if g.shape != tape.outputs[-1].shape:
         raise ValueError("gradient shape does not match raw output")
     grads: list[np.ndarray] = [None] * len(tape.weights)
     for layer in range(len(tape.weights) - 1, -1, -1):
         w, h = tape.weights[layer], tape.inputs[layer]
-        dpre = _selu_grad(tape.outputs[layer])
-        dpre *= g
+        dpre = _selu_grad(tape.outputs[layer], g)
         # the rule applied to the recorded operand repeats the forward order
         # (A_norm @ H is dense with d_in <= d_out columns); in A (H W) layers
         # the symmetric A_norm lets P = A_norm @ dpre give grad W = H' P, dH = P W'
         last = _aggregate_last(h, w.shape[1])
         p = tape.a_norm @ dpre if last else dpre
-        grads[layer] = h.T @ p
+        grads[layer] = _gram(h, p)
         if layer > 0:
-            g = p @ w.T if last else tape.a_norm @ (dpre @ w.T)
+            g = _matmul(p, w.T) if last else tape.a_norm @ _matmul(dpre, w.T)
     return grads
 
 

@@ -141,12 +141,28 @@ def parse_rows(path, width=None, dtype=np.float64, records=None, convert=None):
             rows.append(convert(fields))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric field") from None
+        except OverflowError:
+            raise ValueError(f"{path}:{lineno}: integer out of range") from None
         linenos.append(lineno)
         if len(rows) == 256:  # below gc's 700-allocation threshold: no GC pass scans rows
-            chunks.append(np.array(rows, dtype))
+            chunks.append(_stack(path, rows, linenos, dtype))
             rows = []
-    chunks.append(np.array(rows, dtype).reshape(len(rows), width or 0))
+    chunks.append(_stack(path, rows, linenos, dtype).reshape(len(rows), width or 0))
     return np.concatenate(chunks), linenos
+
+
+def _stack(path, rows: list, linenos: list, dtype) -> np.ndarray:
+    """``rows`` (the last of ``linenos``) as one array; a Python int that
+    ``dtype`` cannot hold is named ``path:line: integer out of range``."""
+    try:
+        return np.array(rows, dtype)
+    except OverflowError:
+        for row, lineno in zip(rows, linenos[len(linenos) - len(rows) :]):
+            try:
+                np.array(row, dtype)
+            except OverflowError:
+                raise ValueError(f"{path}:{lineno}: integer out of range") from None
+        raise
 
 
 def reject_rows(path, linenos, bad: np.ndarray, message: str) -> None:
@@ -330,7 +346,8 @@ def generate_sbm(
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
-    """Symmetrically normalized adjacency D^(-1/2) A D^(-1/2), no self-loops.
+    """Symmetrically normalized adjacency D^(-1/2) A D^(-1/2), no self-loops,
+    as a ``gcn.RowBlockCsr``: its products with dense arrays run in row blocks.
 
     Isolated nodes yield all-zero rows/columns (0^(-1/2) is treated as 0)
     and trigger a warning.
@@ -345,4 +362,6 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     inv_sqrt = np.zeros_like(deg)
     inv_sqrt[~isolated] = 1.0 / np.sqrt(deg[~isolated])
     d_inv = sp.diags(inv_sqrt)
-    return (d_inv @ g.adj @ d_inv).tocsr()
+    from .gcn import RowBlockCsr  # gcn imports this module
+
+    return RowBlockCsr(d_inv @ g.adj @ d_inv)

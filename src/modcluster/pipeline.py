@@ -125,6 +125,17 @@ class RunArtifacts:
     std: dict
 
 
+def _aux_file_rows(config: RunConfig, n: int) -> np.ndarray:
+    """The rows of the file the aux mode reads (--pairs or --partition), read
+    for a run's first seed and kept on its config for the others."""
+    pairs = config.aux_mode == "pairs"
+    key = (pairs, config.pairs if pairs else config.partition, n)
+    cached = getattr(config, "_aux_file", None)
+    if cached is None or cached[0] != key:
+        config._aux_file = key, (load_pairs if pairs else load_labels)(*key[1:])
+    return config._aux_file[1]
+
+
 def build_aux(
     config: RunConfig, n: int, labels: np.ndarray | None, seed: int
 ) -> AuxiliaryInfo | None:
@@ -137,7 +148,7 @@ def build_aux(
     if config.aux_mode == "pairs":
         aux = AuxiliaryInfo(
             variant="pairs",
-            pairs=load_pairs(config.pairs, n),
+            pairs=_aux_file_rows(config, n),
             lam=config.lam,
             alpha=config.alpha,
         )
@@ -149,7 +160,7 @@ def build_aux(
             raise ValueError("aux_mode=labels requires a labels file")
         source = labels
     else:  # external-partition: same file shape as labels.tsv
-        source = load_labels(config.partition, n)
+        source = _aux_file_rows(config, n)
 
     available = np.flatnonzero(source != UNLABELED)
     if len(available) == 0:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 import modcluster as mc
 from modcluster import gcn
 from modcluster.gcn import SELU_ALPHA, SELU_SCALE, GradientTape
+from modcluster.graph import from_edges
 from reference import (
     fd_weight_grads,
     max_rel_error,
@@ -345,3 +348,124 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="truncated"):
             mc.load_checkpoint(path)
+
+
+def force_blocks(monkeypatch, workers, block=6, product=0):
+    """Send every kernel down the row-block path in blocks of ``block``
+    elements (dense products and SpMMs in blocks of ``product``, when given),
+    shared out over ``workers`` cores as when the input is large."""
+    monkeypatch.setattr(gcn, "_POOL_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(gcn, "_WORKERS", workers)
+    monkeypatch.setattr(gcn, "_BLOCK_ELEMENTS", block)
+    if product:
+        monkeypatch.setattr(gcn, "_PRODUCT_ELEMENTS", product)
+
+
+def epoch_arrays(model, a_norm, x0, upstream):
+    """Every array a forward, transform and backward from ``upstream`` produce."""
+    tape = GradientTape()
+    raw = mc.gcn_forward(model, a_norm, x0, tape)
+    x = mc.transform_embeddings(raw, tape)
+    grads = mc.backward(tape, upstream)
+    recorded = [v for v in vars(tape).values() if isinstance(v, np.ndarray)]
+    return [raw, x, *grads, *tape.inputs, *tape.outputs, *recorded]
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = (v.toarray() if sp.issparse(v) else v for v in (a, b))
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestRowBlocks:
+    def test_blocks_cover_rows_in_order(self, monkeypatch):
+        force_blocks(monkeypatch, workers=3)
+        main = threading.get_ident()
+        blocks = gcn._row_runs(lambda lo, hi: (lo, hi, threading.get_ident()), 7, 1, 2)
+        assert [b[:2] for b in blocks] == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        # runs of blocks 0, 1 and 2-3: the calling thread takes the first only
+        threads = [b[2] for b in blocks]
+        assert threads[0] == main
+        if gcn._pool() is not None:
+            assert main not in threads[1:]
+        assert gcn._row_runs(lambda lo, hi: 1 / 0, 0, 5) == []
+
+    @pytest.mark.parametrize("n", [1, 5, 23])
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense-x0", "csr-x0"])
+    @pytest.mark.parametrize("product", [0, 12], ids=["whole-products", "split-products"])
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # isolated node, degenerate rows
+    def test_epoch_same_bits_on_any_core_count(self, monkeypatch, n, csr, product):
+        # layers 0 and 1 widen, (A H) W; layer 2 narrows, A (H W). Blocks of
+        # 6 elements hold 2 rows of the 3-wide arrays and 1 of the wider ones;
+        # layer 1's H' P takes P's 80 columns in blocks of 64 and 16
+        rng = np.random.default_rng(n)
+        g = random_graph(n, 0.5, 200 + n) if n > 1 else from_edges(np.zeros((0, 2)), 1)
+        a_norm = mc.normalized_adjacency(g)
+        x0 = rng.normal(0, 1, (n, 3))
+        x0[np.abs(x0) < 0.5] = 0.0
+        x0 = sp.csr_matrix(x0) if csr else x0
+        model = mc.init_model([3, 70, 80, 2], seed=n)
+        upstream = rng.normal(0, 1, (n, 2))
+        serial = epoch_arrays(model, a_norm, x0, upstream)
+        runs = []
+        for workers in (1, 3):
+            force_blocks(monkeypatch, workers, product=product)
+            runs.append(epoch_arrays(model, a_norm, x0, upstream))
+        assert_same_bits(runs[1], runs[0])
+        if not product:  # elementwise kernels give the same bits in any blocks
+            assert_same_bits(runs[1], serial)
+        for got, want in zip(runs[1], serial):  # BLAS may round a smaller block apart
+            got, want = (v.toarray() if sp.issparse(v) else v for v in (got, want))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_patched_rows_counted_over_all_blocks(self, monkeypatch):
+        x = np.random.default_rng(3).normal(0, 1, (9, 3))
+        # near-zero sums: the last two are also degenerate, the last with
+        # tanh values that still carry a gradient
+        x[[1, 4, 8]] = [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [1e-9, -1e-9, 1e-9]]
+        g = np.random.default_rng(4).normal(0, 1, x.shape)
+
+        def run():
+            # one layer whose output is x; with A = H = I its weight
+            # gradient is SELU'(x) times the gradient the transform passes on
+            tape = GradientTape(sp.identity(9, format="csr"), [np.eye(9)], [x], [np.eye(3)])
+            with pytest.warns(UserWarning) as caught:
+                out = mc.transform_embeddings(x, tape)
+            grads = mc.backward(tape, g)
+            messages = [str(w.message) for w in caught]
+            arrays = [v for v in vars(tape).values() if isinstance(v, np.ndarray)]
+            return messages, [out, *grads, *arrays]
+
+        serial_messages, serial = run()
+        force_blocks(monkeypatch, workers=3)  # blocks of 2 rows
+        messages, pooled = run()
+        assert messages == serial_messages == [
+            "3 row(s) with near-zero sum: row-sum normalization skipped for them",
+            "2 degenerate row(s) replaced by the uniform unit vector",
+        ]
+        assert_same_bits(pooled, serial)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_in_a_later_block_raises(self, monkeypatch, bad):
+        n = 9
+        g = from_edges(np.stack([np.arange(n - 1), np.arange(1, n)], axis=1), n)
+        x0 = np.ones((n, 2))
+        x0[n - 1, 0] = bad
+        # A X0 is non-finite in row 7 only: blocks of 2 rows, row 7 in a worker's run
+        force_blocks(monkeypatch, workers=3)
+        model = mc.GcnModel([2, 3], [np.ones((2, 3))])
+        with pytest.raises(gcn.DivergenceError, match="non-finite activation in layer 0"):
+            mc.gcn_forward(model, mc.normalized_adjacency(g), x0)
+
+    def test_selu_scalar_and_vector_in_blocks(self, monkeypatch):
+        x = TestSelu.inputs()
+        want = [mc.selu(v) for v in (0.0, -20.0, x[:, 0], x)]
+        force_blocks(monkeypatch, workers=3, block=4)
+        assert mc.selu(0.0) == 0.0
+        assert mc.selu(-20.0) == pytest.approx(-SELU_SCALE * SELU_ALPHA, abs=1e-8)
+        assert_same_bits([mc.selu(v) for v in (0.0, -20.0, x[:, 0], x)], want)
+        TestSelu().test_matches_where_form()
+        TestSelu().test_grad_from_output()

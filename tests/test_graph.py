@@ -308,6 +308,11 @@ def test_non_numeric_field_names_line(tmp_path, loader, text, line):
         (mc.load_checkpoint, HEADER + "dims\t-1 2\n", 2, "layer dimensions must be positive"),
         (mc.load_checkpoint, HEADER + "dims\t2 0\n0\n0\n", 2, "layer dimensions must be positive"),
         (mc.load_checkpoint, HEADER + "dims\t3\n", 2, "layer_dims must chain at least input"),
+        (mc.load_graph, "0 1\n0 99999999999999999999\n", 2, "integer out of range"),
+        (mc.load_graph, "0 1\n" * 300 + "1 2\n-99999999999999999999 1\n", 302, "integer out of range"),
+        (labels3, "0 0\n1 99999999999999999999\n", 2, "integer out of range"),
+        (mc.load_features, "sparse 99999999999999999999 2\n", 1, "integer out of range"),
+        (mc.load_checkpoint, HEADER + "dims\t2 99999999999999999999\n", 2, "integer out of range"),
     ],
     ids=[
         "edge-fields", "edge-negative", "edge-range",
@@ -317,6 +322,8 @@ def test_non_numeric_field_names_line(tmp_path, loader, text, line):
         "partition-duplicate", "pair-fields", "pair-range", "pair-self",
         "checkpoint-width", "checkpoint-non-finite", "checkpoint-trailing",
         "checkpoint-negative-dims", "checkpoint-zero-dims", "checkpoint-one-dim",
+        "edge-int64", "edge-int64-second-chunk", "label-int64", "sparse-header-int64",
+        "checkpoint-dims-int64",
     ],
 )
 def test_rejected_row_names_line(tmp_path, loader, text, line, message):

@@ -7,12 +7,15 @@ attributes, ``AdamState.step`` counts the steps, ``CfTree.leaf_entries``
 takes only the tree, so a one-argument wrapper can replace it, an internal
 CF-tree node's ``entries[i].child`` is its i-th child (the tree-depth
 probe walks it), a bare ``GradientTape()`` records the transform's row
-masks, the normalized adjacency is a matrix of its own, and train and eval
-read their inputs through the loaders' module attributes.
+masks, the normalized adjacency is a matrix of its own, train and eval
+read their inputs through the loaders' module attributes, and an epoch large
+enough for the worker pool still makes each GCN SpMM and SELU call on the
+calling thread, where the tracer's span stack lives.
 """
 
 import inspect
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -129,3 +132,37 @@ def test_train_and_eval_load_through_module_attributes(tmp_path, monkeypatch):
     pipeline.cmd_eval(tmp_path / "out" / "checkpoint_seed0.tsv", *inputs.values())
     assert [len(calls) for calls in loads] == [2, 2, 2]
     assert len(checkpoints) == 1
+
+
+def test_pooled_epoch_calls_hooks_on_the_calling_thread(monkeypatch):
+    n = 4096
+    assert n * 128 < gcn._POOL_MIN_ELEMENTS <= n * 256  # layer 0 is pooled, layer 1 not
+    rng = np.random.default_rng(0)
+    ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    g = graph.from_edges(np.concatenate([ring, rng.integers(0, n, (4 * n, 2))]), n)
+    a_norm = mc.normalized_adjacency(g)
+    calls = []
+    base = type(a_norm)
+
+    class Recording(base):  # as the tracer times the GCN SpMM
+        def __matmul__(self, other):
+            calls.append(("@", threading.get_ident()))
+            return base.__matmul__(self, other)
+
+    a_norm.__class__ = Recording
+    for attr in ("selu", "_selu_grad"):
+        original = getattr(gcn, attr)
+
+        def recorded(*args, original=original, attr=attr):
+            calls.append((attr, threading.get_ident()))
+            return original(*args)
+
+        monkeypatch.setattr(gcn, attr, recorded)
+    model = mc.init_model([4, 256, 128], seed=0)  # (A H) W, then A (H W)
+    tape = gcn.GradientTape()
+    raw = gcn.gcn_forward(model, a_norm, rng.normal(0, 1, (n, 4)), tape)
+    forward = [name for name, _ in calls]
+    gcn.backward(tape, np.ones_like(raw))
+    assert forward == ["@", "selu", "@", "selu"]
+    assert [name for name, _ in calls[4:]] == ["_selu_grad", "@", "_selu_grad"]
+    assert {thread for _, thread in calls} == {threading.get_ident()}

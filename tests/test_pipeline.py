@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import modcluster as mc
+from modcluster import pipeline
 from modcluster.cli import main
 from modcluster.pipeline import (
     RunConfig,
@@ -103,6 +104,23 @@ class TestBuildAux:
         aux = build_aux(config, 5, None, seed=0)
         assert aux.variant == "pairs"
         assert aux.pairs.shape == (2, 2)
+
+    @pytest.mark.parametrize("mode", ["pairs", "external-partition"])
+    def test_aux_file_read_once_per_run(self, tmp_path, monkeypatch, mode):
+        data = tmp_path / "data"
+        cmd_generate([10, 10], 0.6, 0.05, 1, data)
+        (tmp_path / "aux.tsv").write_text("0\t1\n2\t3\n" if mode == "pairs" else
+                                          "".join(f"{i}\t{i // 10}\n" for i in range(20)))
+        loader = "load_pairs" if mode == "pairs" else "load_labels"
+        real, calls = getattr(pipeline, loader), []
+        monkeypatch.setattr(pipeline, loader, lambda *args: calls.append(args) or real(*args))
+        flag = "--pairs" if mode == "pairs" else "--partition"
+        assert main([
+            "train", "--edges", str(data / "edges.tsv"), "--features", str(data / "features.tsv"),
+            "--aux-mode", mode, flag, str(tmp_path / "aux.tsv"), "--lambda", "0.5",
+            "--seeds", "0,1,2", "--epochs", "2", "--dims", "4", "--out", str(tmp_path / "run"),
+        ]) == 0
+        assert len(calls) == 1
 
     def test_external_partition_mode(self, tmp_path):
         path = tmp_path / "partition.tsv"
@@ -435,12 +453,13 @@ class TestCli:
             ("partition-without-file", r"aux_mode external-partition requires --partition"),
             ("dims-0", r"layer dimensions must be positive"),
             ("eval-f1-sample-0", r"f1_sample_size must be at least 2"),
+            ("edge-beyond-int64", r"edges\.tsv:\d+: integer out of range"),
         ],
         ids=[
             "unknown-key", "comment-only-edges", "missing-file", "birch-threshold-0",
             "birch-threshold-nan", "branching-1", "f1-sample-0", "lr-nan", "eval-branching-1",
             "labels-without-file", "pairs-without-file", "partition-without-file", "dims-0",
-            "eval-f1-sample-0",
+            "eval-f1-sample-0", "edge-beyond-int64",
         ],
     )
     def test_bad_input_prints_one_line_and_exits_2(self, tmp_path, capsys, case, message):
@@ -473,6 +492,9 @@ class TestCli:
             (data / "edges.tsv").write_text("# no edges\n")
         elif case == "missing-file":
             (data / "features.tsv").unlink()
+        elif case == "edge-beyond-int64":
+            with open(data / "edges.tsv", "a") as fh:
+                fh.write("0 99999999999999999999\n")
         elif case.startswith("eval-"):
             # the option is checked before the (missing) checkpoint is read
             argv = ["eval", "--checkpoint", str(tmp_path / "missing.tsv"),
