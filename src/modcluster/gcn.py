@@ -12,11 +12,13 @@ From 10^6 elements on, the n-row work runs in row blocks (``_row_runs``),
 shared out over every core in the process's CPU affinity: SELU, SELU' times
 the upstream gradient and the transform in blocks of about 2^15 elements that
 stay in cache, products and SpMMs in blocks of about 2^18 output elements, and
-``H' P`` in blocks of 64 columns of P. numpy's OpenBLAS is then held to one
+``H' P`` in blocks of 64 columns of H. numpy's OpenBLAS is then held to one
 thread for the rest of the process (its idle threads would spin on those
 cores; without its thread setter no pool starts). Blocks depend only on array
 shapes and each is one call whichever thread runs it, so a pooled run's outputs
 are byte-identical for any core count; ``taskset -c 0`` gives a serial run.
+SELU writes over its product, SELU' multiplies into the upstream gradient and
+Adam updates in place, so an epoch writes each large array once.
 """
 
 from __future__ import annotations
@@ -118,15 +120,15 @@ def _matmul(a, b: np.ndarray) -> np.ndarray:
 
 
 def _gram(h, p: np.ndarray) -> np.ndarray:
-    """``h.T @ p``, in blocks of P's columns when large: each entry still sums
-    over all n rows."""
-    n, cols = p.shape
-    if n * cols < _POOL_MIN_ELEMENTS or h.shape[1] < 64:  # a narrow H is cheaper whole
-        return h.T @ p
-    out = np.empty((h.shape[1], cols))
+    """``h.T @ p``, in blocks of 64 of H's columns (the product's rows) when
+    large: each entry still sums over all n rows."""
+    n, cols = h.shape
+    if n * p.shape[1] < _POOL_MIN_ELEMENTS or cols < 128 or sp.issparse(h):
+        return h.T @ p  # a narrow H is cheaper whole; a sparse one has no cheap column blocks
+    out = np.empty((cols, p.shape[1]))
 
     def kernel(lo, hi):
-        out[:, lo:hi] = h.T @ p[:, lo:hi]
+        np.matmul(h[:, lo:hi].T, p, out=out[lo:hi])
 
     _row_runs(kernel, cols, n, 64)
     return out
@@ -141,10 +143,11 @@ class RowBlockCsr(sp.csr_matrix):
         return super().__matmul__(other)
 
 
-def selu(x):
-    """Scaled exponential linear unit, elementwise."""
+def selu(x, out=None):
+    """Scaled exponential linear unit, elementwise, into ``out`` (which may
+    be ``x``) when given."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
     x_rows, out_rows = np.atleast_2d(x, out)
 
     def kernel(lo, hi):
@@ -160,17 +163,17 @@ def selu(x):
 
 
 def _selu_grad(out: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    """SELU' (times ``g``, when given), from SELU's output: SELU' is
-    out + SCALE * ALPHA where out < 0, else SCALE."""
-    d = np.empty_like(out)
+    """SELU' from SELU's output (out + SCALE * ALPHA where out < 0, else
+    SCALE); when ``g`` is given, multiplied into ``g`` in place."""
+    d = np.empty_like(out) if g is None else g
 
     def kernel(lo, hi):
         o = out[lo:hi]
-        db = np.add(o, SELU_SCALE * SELU_ALPHA - SELU_SCALE, out=d[lo:hi])
+        db = np.add(o, SELU_SCALE * SELU_ALPHA - SELU_SCALE, out=None if d is g else d[lo:hi])
         db *= o < 0.0
         db += SELU_SCALE
-        if g is not None:
-            db *= g[lo:hi]
+        if d is g:
+            g[lo:hi] *= db
 
     _row_runs(kernel, *out.shape)
     return d
@@ -250,8 +253,8 @@ def gcn_forward(
         else:
             h = a_norm @ h
             pre = _matmul(h, w)
-        out = selu(pre)
-        if not np.all(np.isfinite(out)):
+        out = selu(pre, pre)
+        if not all(_row_runs(lambda lo, hi: np.isfinite(out[lo:hi]).all(), *out.shape)):
             raise DivergenceError(f"non-finite activation in layer {layer}")
         if tape is not None:
             tape.inputs.append(h)
@@ -347,6 +350,8 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
 
         _row_runs(kernel, *g.shape)
 
+    else:
+        g = g.copy()  # SELU' is multiplied into g in place: keep the caller's array
     if g.shape != tape.outputs[-1].shape:
         raise ValueError("gradient shape does not match raw output")
     grads: list[np.ndarray] = [None] * len(tape.weights)
@@ -372,6 +377,8 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    # two work arrays per layer, made at the first step
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
 
 def init_adam(model: GcnModel, learning_rate: float = LEARNING_RATE) -> AdamState:
@@ -383,9 +390,16 @@ def init_adam(model: GcnModel, learning_rate: float = LEARNING_RATE) -> AdamStat
 
 
 def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam update; weights are updated in place."""
+    """One bias-corrected Adam update of the moments and the weights, in
+    place, rounding as the textbook expressions do:
+
+        m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
+        w -= lr (m / (1 - B1^t)) / (sqrt(v / (1 - B2^t)) + eps)
+    """
     if len(grads) != len(model.weights):
         raise ValueError("gradient count does not match weight count")
+    if [a.shape for a, _ in state.scratch] != [w.shape for w in model.weights]:
+        state.scratch = [(np.empty_like(w), np.empty_like(w)) for w in model.weights]
     state.step += 1
     t = state.step
     for i, (w, g) in enumerate(zip(model.weights, grads)):
@@ -393,11 +407,17 @@ def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState) -> Non
             raise ValueError(f"gradient shape mismatch at layer {i}")
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient at layer {i}")
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[i] / (1.0 - ADAM_BETA1**t)
-        v_hat = state.v[i] / (1.0 - ADAM_BETA2**t)
-        w -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v, (a, b) = state.m[i], state.v[i], state.scratch[i]
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=a), g, out=a)
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=a)
+        np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=b), out=b)
+        b += ADAM_EPS
+        a *= state.learning_rate
+        a /= b
+        w -= a
 
 
 def save_checkpoint(path, model: GcnModel) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gcn import _matmul, _row_runs
 from .graph import Graph
 
 
@@ -87,12 +88,18 @@ def modularity_loss(x: np.ndarray, g: Graph) -> tuple[float, np.ndarray]:
     if g.m == 0:
         raise ValueError("modularity is undefined for an edgeless graph (m=0)")
     two_m = 2.0 * g.m
-    ax = g.adj @ x
+    ax = _matmul(g.adj, x)
     d = g.degrees.astype(np.float64)
     dtx = x.T @ d
     value = -(float(np.sum(x * ax)) - float(dtx @ dtx) / two_m) / two_m
-    grad = -(2.0 * ax - np.outer(d, dtx) / g.m) / two_m
-    return value, grad
+
+    def kernel(lo, hi):  # ax becomes -(2 A X - d d'X / m) / 2m
+        grad = np.multiply(ax[lo:hi], 2.0, out=ax[lo:hi])
+        grad -= np.multiply.outer(d[lo:hi], dtx) / g.m
+        grad /= -two_m
+
+    _row_runs(kernel, *ax.shape)
+    return value, ax
 
 
 def aux_loss_labels(
@@ -159,13 +166,13 @@ def total_loss(
     l2 = 0.0
     if aux is not None and aux.variant == "labels":
         l2, g2 = aux_loss_labels(x, aux.subset, aux.onehot)
-        grad = grad + lam * g2
+        grad += lam * g2
     elif aux is not None and aux.variant == "pairs":
         l2, g2 = aux_loss_pairs(x, aux.pairs)
-        grad = grad + lam * g2
+        grad += lam * g2
     reg, g3 = collapse_regularizer(x, alpha)
     if alpha != 0.0:
-        grad = grad + g3
+        grad += g3
     report = LossReport(
         l1=l1,
         l2=l2,

@@ -222,10 +222,10 @@ def train_epochs(
     each ``next`` runs one and yields its LossReport.
 
     Raises DivergenceError on a non-finite loss, before the weights change.
-    A generator rather than a per-epoch function because its frame keeps one
-    epoch's arrays alive into the next, as the loop it replaced did: freeing
-    them all at each epoch's end lets malloc trim the heap, and at n=16k the
-    next epoch then takes ~5k more page faults and runs ~7% slower.
+    A generator, so a caller steps it one epoch at a time and stops where it
+    likes (``islice`` for a run, a timed loop in ``cmd_scaling``). Epochs
+    reuse the memory the last one freed without page faults under the
+    allocator policy that ``cli.main`` sets (``cli.keep_freed_memory``).
     """
     while True:
         tape = gcn.GradientTape()

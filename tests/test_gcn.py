@@ -62,6 +62,17 @@ class TestSelu:
             got, expected, rtol=0, atol=4 * np.spacing(SELU_SCALE * SELU_ALPHA)
         )
 
+    def test_in_place_forms_match_out_of_place(self):
+        x = self.inputs()
+        want = mc.selu(x)
+        y = x.copy()
+        assert mc.selu(y, y) is y
+        assert y.tobytes() == want.tobytes()
+        g = np.random.default_rng(12).normal(0, 1, x.shape)
+        want = gcn._selu_grad(y) * g
+        assert gcn._selu_grad(y, g) is g
+        assert g.tobytes() == want.tobytes()
+
 
 class TestInitModel:
     def test_glorot_bound(self):
@@ -213,6 +224,25 @@ class TestAdam:
             values.append(model.weights[0][0, 0])
         assert values == sorted(values, reverse=True)
 
+    def test_in_place_step_matches_textbook(self):
+        rng = np.random.default_rng(6)
+        model = mc.init_model([5, 4, 3], seed=6)
+        state = mc.init_adam(model, learning_rate=0.01)
+        w = [x.copy() for x in model.weights]
+        m = [np.zeros_like(x) for x in w]
+        v = [np.zeros_like(x) for x in w]
+        b1, b2, eps, lr = gcn.ADAM_BETA1, gcn.ADAM_BETA2, gcn.ADAM_EPS, 0.01
+        for t in range(1, 6):
+            grads = [rng.normal(0, 1, x.shape) for x in w]
+            mc.adam_step(model, grads, state)
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                m_hat, v_hat = m[i] / (1.0 - b1**t), v[i] / (1.0 - b2**t)
+                w[i] = w[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for got, want in zip([*model.weights, *state.m, *state.v], [*w, *m, *v]):
+                assert got.tobytes() == want.tobytes()
+
     def test_non_finite_gradient_raises(self):
         model = mc.init_model([2, 2], seed=0)
         state = mc.init_adam(model)
@@ -309,6 +339,15 @@ class TestBackward:
         for got, want in zip(grads_csr, grads_dense):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
+    def test_untransformed_upstream_left_unchanged(self):
+        g, a_norm, feats, model = self.setup_small(seed=5)
+        tape = GradientTape()
+        raw = mc.gcn_forward(model, a_norm, feats, tape)
+        upstream = np.random.default_rng(5).normal(0, 1, raw.shape)
+        before = upstream.copy()
+        mc.backward(tape, upstream)
+        assert upstream.tobytes() == before.tobytes()
+
     def test_empty_tape_rejected(self):
         with pytest.raises(ValueError, match="tape"):
             mc.backward(GradientTape(), np.zeros((2, 2)))
@@ -399,14 +438,14 @@ class TestRowBlocks:
     def test_epoch_same_bits_on_any_core_count(self, monkeypatch, n, csr, product):
         # layers 0 and 1 widen, (A H) W; layer 2 narrows, A (H W). Blocks of
         # 6 elements hold 2 rows of the 3-wide arrays and 1 of the wider ones;
-        # layer 1's H' P takes P's 80 columns in blocks of 64 and 16
+        # layer 2's H' P takes H's 150 columns in blocks of 64, 64 and 22
         rng = np.random.default_rng(n)
         g = random_graph(n, 0.5, 200 + n) if n > 1 else from_edges(np.zeros((0, 2)), 1)
         a_norm = mc.normalized_adjacency(g)
         x0 = rng.normal(0, 1, (n, 3))
         x0[np.abs(x0) < 0.5] = 0.0
         x0 = sp.csr_matrix(x0) if csr else x0
-        model = mc.init_model([3, 70, 80, 2], seed=n)
+        model = mc.init_model([3, 70, 150, 2], seed=n)
         upstream = rng.normal(0, 1, (n, 2))
         serial = epoch_arrays(model, a_norm, x0, upstream)
         runs = []

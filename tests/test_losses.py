@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modcluster as mc
+from modcluster import gcn
 from modcluster.graph import from_edges
 from modcluster.losses import AuxiliaryInfo
 from reference import (
@@ -71,6 +72,26 @@ class TestModularityLoss:
         _, grad = mc.modularity_loss(x, g)
         fd = fd_embedding_grad(lambda z: mc.modularity_loss(z, g)[0], x.copy())
         assert max_rel_error([grad], [fd]) < 1e-6
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_row_blocks_match_whole_array_form(self, monkeypatch, workers):
+        rng = np.random.default_rng(8)
+        g = random_graph(23, 0.3, 88)
+        x = random_embedding(rng, g.n, 4)
+        ax = g.adj @ x
+        d = g.degrees.astype(np.float64)
+        dtx = x.T @ d
+        two_m = 2.0 * g.m
+        want = -(float(np.sum(x * ax)) - float(dtx @ dtx) / two_m) / two_m
+        want_grad = -(2.0 * ax - np.outer(d, dtx) / g.m) / two_m
+        # every kernel in blocks of 2 rows, as tests/test_gcn.py's TestRowBlocks forces
+        monkeypatch.setattr(gcn, "_POOL_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(gcn, "_WORKERS", workers)
+        monkeypatch.setattr(gcn, "_BLOCK_ELEMENTS", 8)
+        monkeypatch.setattr(gcn, "_PRODUCT_ELEMENTS", 8)
+        value, grad = mc.modularity_loss(x, g)
+        assert value == want
+        assert grad.tobytes() == want_grad.tobytes()
 
     def test_edgeless_graph_rejected(self):
         g = from_edges(np.zeros((0, 2), dtype=np.int64), 3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import modcluster as mc
-from modcluster import pipeline
+from modcluster import cli, pipeline
 from modcluster.cli import main
 from modcluster.pipeline import (
     RunConfig,
@@ -536,6 +536,52 @@ class TestCli:
             "--dims", "8,4", "--epochs", "2",
         ]) == 0
         assert out_csv.exists()
+
+
+class TestAllocatorPolicy:
+    GENERATE = ["generate", "--blocks", "6,6", "--p-in", "0.6", "--p-out", "0.1"]
+
+    @staticmethod
+    def fake_libc(monkeypatch, libc):
+        """Serve ``libc`` for the process's own symbols; other libraries load as usual."""
+        real = cli.ctypes.CDLL
+
+        def cdll(name, *args, **kwargs):
+            return libc if name is None else real(name, *args, **kwargs)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+
+    def test_main_sets_both_thresholds(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        class Libc:
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        self.fake_libc(monkeypatch, Libc)
+        assert main([*self.GENERATE, "--out", str(tmp_path)]) == 0
+        assert calls == [(cli.M_MMAP_THRESHOLD, 1 << 30), (cli.M_TRIM_THRESHOLD, 1 << 30)]
+
+    def test_silent_without_mallopt(self, tmp_path, monkeypatch, capsys):
+        self.fake_libc(monkeypatch, object())
+        assert main([*self.GENERATE, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_cli_train_writes_the_bytes_of_cmd_train(self, small_dataset, tmp_path, capsys):
+        out, _ = small_dataset
+        config = small_config(out, tmp_path / "direct", epochs=15)
+        cmd_train(config)
+        assert main([
+            "train", "--edges", config.edges, "--features", config.features,
+            "--labels", config.labels, "--dims", "16,8", "--epochs", "15", "--seeds", "0,1",
+            "--out", str(tmp_path / "cli"),
+        ]) == 0
+        names = sorted(p.name for p in (tmp_path / "direct").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "cli").iterdir())
+        for name in names:
+            direct = (tmp_path / "direct" / name).read_bytes()
+            assert (tmp_path / "cli" / name).read_bytes() == direct
 
 
 @pytest.fixture(autouse=True)
