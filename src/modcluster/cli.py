@@ -8,7 +8,6 @@ RunConfig defaults. A key that names no flag is an error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import sys
@@ -24,26 +23,6 @@ FLAG_FIELDS = {
     "out": "out_dir",
     "f1_sample": "f1_sample_size",
 }
-
-
-# glibc's mallopt parameters, and the size under which freed memory stays in the heap
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-KEEP_FREED_BYTES = 1 << 30
-
-
-def keep_freed_memory() -> None:
-    """Have glibc's malloc keep freed blocks under 1 GiB for reuse, so that
-    an epoch's arrays take the memory of the last epoch's instead of being
-    mapped and faulted in afresh. Both thresholds are set: setting either
-    one turns off glibc's adaptive thresholds, and the one left at its
-    default then still hands the memory back. A no-op without mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, KEEP_FREED_BYTES)
-    mallopt(M_TRIM_THRESHOLD, KEEP_FREED_BYTES)
 
 
 def _parse_int_list(value) -> list[int]:
@@ -213,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; bad input or a missing file prints one line and returns 2."""
-    keep_freed_memory()
     args = build_parser().parse_args(argv)
     handlers = {
         "train": _run_train,

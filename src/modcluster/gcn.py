@@ -8,15 +8,17 @@ transform: divide by the row sum, tanh, elementwise square, L2-normalize. All
 gradients are computed in closed form against intermediates recorded on a
 GradientTape; SELU' comes from the output: ``out + SCALE * ALPHA`` if out < 0.
 
-From 10^6 elements on, the n-row work runs in row blocks (``_row_runs``),
-shared out over every core in the process's CPU affinity: SELU, SELU' times
-the upstream gradient and the transform in blocks of about 2^15 elements that
-stay in cache, products and SpMMs in blocks of about 2^18 output elements, and
-``H' P`` in blocks of 64 columns of H. numpy's OpenBLAS is then held to one
-thread for the rest of the process (its idle threads would spin on those
-cores; without its thread setter no pool starts). Blocks depend only on array
-shapes and each is one call whichever thread runs it, so a pooled run's outputs
-are byte-identical for any core count; ``taskset -c 0`` gives a serial run.
+Pooling is decided by the graph's row count n alone. From _POOL_MIN_ROWS
+rows on, every n-row kernel runs in row blocks shared out over every core in
+the process's CPU affinity: SELU, SELU' times the upstream gradient and the
+transform in blocks of about 2^15 elements that stay in cache, products and
+SpMMs in blocks of about 2^18 output elements, and ``H' P`` in blocks of 64
+columns of H. numpy's OpenBLAS is then held to one thread for the rest of the
+process (its idle threads would spin on those cores; without its thread
+setter no pool starts). Below it every kernel is one call, and OpenBLAS keeps
+its own threads. Blocks depend only on array shapes and each is one call
+whichever thread runs it, so a pooled run's outputs are byte-identical for
+any core count; ``taskset -c 0`` gives a serial run.
 SELU writes over its product, SELU' multiplies into the upstream gradient and
 Adam updates in place, so an epoch writes each large array once.
 """
@@ -53,7 +55,7 @@ ADAM_EPS = 1e-8
 
 _BLOCK_ELEMENTS = 1 << 15  # 256 KiB of float64: a block's temporaries stay in L2
 _PRODUCT_ELEMENTS = 1 << 18  # a split product has 4 or more blocks
-_POOL_MIN_ELEMENTS = 10**6  # smaller kernels run whole on the calling thread
+_POOL_MIN_ROWS = 1 << 13  # smaller graphs run each kernel whole on the calling thread
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -77,22 +79,25 @@ def _pool() -> ThreadPoolExecutor | None:
     return None
 
 
-def _row_runs(kernel, n: int, cols: int, step: int = 0) -> list:
-    """``kernel(lo, hi)`` over rows [0, n) of an n x cols array; returns its
-    results in row order. Below _POOL_MIN_ELEMENTS elements it is one call.
-    Above, it runs on consecutive blocks of ``step`` rows (by default about
-    _BLOCK_ELEMENTS elements), and each usable core takes one contiguous run
-    of blocks, the calling thread the first. A kernel writes only its own
-    rows and calls no module attribute, which a caller may have wrapped."""
-    if n * cols < _POOL_MIN_ELEMENTS:
+def _row_runs(kernel, n: int, cols: int) -> list:
+    """``kernel(lo, hi)`` over rows [0, n) of an n x cols array, results in row
+    order: one call below _POOL_MIN_ROWS rows, else blocks of about _BLOCK_ELEMENTS."""
+    if n < _POOL_MIN_ROWS:
         return [kernel(0, n)]
-    step = step or max(_BLOCK_ELEMENTS // max(cols, 1), 1)
+    return _blocks(kernel, n, max(_BLOCK_ELEMENTS // max(cols, 1), 1))
+
+
+def _blocks(kernel, n: int, step: int) -> list:
+    """``kernel(lo, hi)`` on consecutive blocks of ``step`` rows of [0, n), in row
+    order; each usable core takes one contiguous run of blocks, the calling thread the
+    first, and a single block runs on the calling thread. A kernel writes only its own
+    rows and calls no module attribute, which a caller may have wrapped."""
     starts = range(0, n, step)
 
     def run(starts):
         return [kernel(lo, min(lo + step, n)) for lo in starts]
 
-    pool = _pool() if _WORKERS > 1 else None
+    pool = _pool() if _WORKERS > 1 and len(starts) > 1 else None
     if pool is None:
         return run(starts)
     cut = [len(starts) * i // _WORKERS for i in range(_WORKERS + 1)]
@@ -101,9 +106,9 @@ def _row_runs(kernel, n: int, cols: int, step: int = 0) -> list:
 
 
 def _matmul(a, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for a dense or CSR ``a``, in row blocks when large."""
+    """``a @ b`` for a dense or CSR ``a``, in row blocks from _POOL_MIN_ROWS rows on."""
     n, cols = a.shape[0], b.shape[1]
-    if n * cols < _POOL_MIN_ELEMENTS:  # scipy's @: a RowBlockCsr's own @ calls back here
+    if n < _POOL_MIN_ROWS:  # scipy's @: a RowBlockCsr's own @ calls back here
         return sp.csr_matrix.__matmul__(a, b) if sp.issparse(a) else a @ b
     out = np.empty((n, cols), dtype=np.result_type(a.dtype, b.dtype))
 
@@ -115,22 +120,22 @@ def _matmul(a, b: np.ndarray) -> np.ndarray:
         rows = (a.data[s:e], a.indices[s:e], a.indptr[lo : hi + 1] - s)
         out[lo:hi] = sp.csr_matrix(rows, shape=(hi - lo, a.shape[1])) @ b
 
-    _row_runs(kernel, n, cols, max(_PRODUCT_ELEMENTS // cols, 1))
+    _blocks(kernel, n, max(_PRODUCT_ELEMENTS // cols, 1))
     return out
 
 
 def _gram(h, p: np.ndarray) -> np.ndarray:
-    """``h.T @ p``, in blocks of 64 of H's columns (the product's rows) when
-    large: each entry still sums over all n rows."""
+    """``h.T @ p``, in blocks of 64 of H's columns (the product's rows) from
+    _POOL_MIN_ROWS rows on: each entry still sums over all n rows."""
     n, cols = h.shape
-    if n * p.shape[1] < _POOL_MIN_ELEMENTS or cols < 128 or sp.issparse(h):
+    if n < _POOL_MIN_ROWS or cols < 128 or sp.issparse(h):
         return h.T @ p  # a narrow H is cheaper whole; a sparse one has no cheap column blocks
     out = np.empty((cols, p.shape[1]))
 
     def kernel(lo, hi):
         np.matmul(h[:, lo:hi].T, p, out=out[lo:hi])
 
-    _row_runs(kernel, cols, n, 64)
+    _blocks(kernel, cols, 64)
     return out
 
 
@@ -222,11 +227,8 @@ class GradientTape:
     norms: np.ndarray | None = None
     degenerate_mask: np.ndarray | None = None
     output: np.ndarray | None = None
-
-
-def _aggregate_last(h, d_out: int) -> bool:
-    """The order rule: ``A (H W)`` when H is sparse or the layer narrows."""
-    return sp.issparse(h) or h.shape[1] > d_out
+    # per layer: True where it ran A_norm @ (H @ W), False for (A_norm @ H) @ W
+    aggregate_last: list[bool] = field(default_factory=list)
 
 
 def gcn_forward(
@@ -242,13 +244,12 @@ def gcn_forward(
             f"feature dim {x0.shape[1]} != model input dim {model.layer_dims[0]}"
         )
     if tape is not None:
-        tape.a_norm = a_norm
-        tape.inputs.clear()
-        tape.outputs.clear()
-        tape.weights = model.weights
+        tape.a_norm, tape.weights = a_norm, model.weights
+        tape.inputs, tape.outputs, tape.aggregate_last = [], [], []
     h = x0.tocsr() if sp.issparse(x0) else x0  # row blocks of a sparse H need CSR
     for layer, w in enumerate(model.weights):
-        if _aggregate_last(h, w.shape[1]):
+        last = sp.issparse(h) or h.shape[1] > w.shape[1]  # H is sparse or the layer narrows
+        if last:
             pre = a_norm @ _matmul(h, w)
         else:
             h = a_norm @ h
@@ -259,6 +260,7 @@ def gcn_forward(
         if tape is not None:
             tape.inputs.append(h)
             tape.outputs.append(out)
+            tape.aggregate_last.append(last)
         h = out
     return h
 
@@ -356,12 +358,9 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
         raise ValueError("gradient shape does not match raw output")
     grads: list[np.ndarray] = [None] * len(tape.weights)
     for layer in range(len(tape.weights) - 1, -1, -1):
-        w, h = tape.weights[layer], tape.inputs[layer]
+        w, h, last = tape.weights[layer], tape.inputs[layer], tape.aggregate_last[layer]
         dpre = _selu_grad(tape.outputs[layer], g)
-        # the rule applied to the recorded operand repeats the forward order
-        # (A_norm @ H is dense with d_in <= d_out columns); in A (H W) layers
-        # the symmetric A_norm lets P = A_norm @ dpre give grad W = H' P, dH = P W'
-        last = _aggregate_last(h, w.shape[1])
+        # A (H W): A_norm is symmetric, so P = A_norm @ dpre gives grad W = H' P, dH = P W'
         p = tape.a_norm @ dpre if last else dpre
         grads[layer] = _gram(h, p)
         if layer > 0:
@@ -377,7 +376,7 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
-    # two work arrays per layer, made at the first step
+    # two work arrays per layer
     scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
 
@@ -386,6 +385,7 @@ def init_adam(model: GcnModel, learning_rate: float = LEARNING_RATE) -> AdamStat
         learning_rate=learning_rate,
         m=[np.zeros_like(w) for w in model.weights],
         v=[np.zeros_like(w) for w in model.weights],
+        scratch=[(np.empty_like(w), np.empty_like(w)) for w in model.weights],
     )
 
 
@@ -398,8 +398,6 @@ def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState) -> Non
     """
     if len(grads) != len(model.weights):
         raise ValueError("gradient count does not match weight count")
-    if [a.shape for a, _ in state.scratch] != [w.shape for w in model.weights]:
-        state.scratch = [(np.empty_like(w), np.empty_like(w)) for w in model.weights]
     state.step += 1
     t = state.step
     for i, (w, g) in enumerate(zip(model.weights, grads)):

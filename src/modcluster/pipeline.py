@@ -20,6 +20,7 @@ splitting rule so every random draw is auditable.
 from __future__ import annotations
 
 import csv
+import ctypes
 import time
 import warnings
 from collections.abc import Iterator
@@ -210,6 +211,25 @@ def train_single_seed(
     return SeedResult(seed, model, loss_rows, partition, report)
 
 
+# glibc's mallopt parameters, and the size under which freed memory stays in the heap
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+KEEP_FREED_BYTES = 1 << 30
+
+
+def keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed blocks under 1 GiB for reuse, so an epoch's
+    arrays take the memory of the last epoch's instead of being mapped and faulted in
+    afresh. Both thresholds are set: either one turns off glibc's adaptive thresholds,
+    and the other, left at its default, still hands the memory back. No-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, KEEP_FREED_BYTES)
+    mallopt(M_TRIM_THRESHOLD, KEEP_FREED_BYTES)
+
+
 def train_epochs(
     model: gcn.GcnModel,
     adam: gcn.AdamState,
@@ -223,9 +243,9 @@ def train_epochs(
 
     Raises DivergenceError on a non-finite loss, before the weights change.
     A generator, so a caller steps it one epoch at a time and stops where it
-    likes (``islice`` for a run, a timed loop in ``cmd_scaling``). Epochs
-    reuse the memory the last one freed without page faults under the
-    allocator policy that ``cli.main`` sets (``cli.keep_freed_memory``).
+    likes (``islice`` for a run, a timed loop in ``cmd_scaling``). Epochs reuse
+    the memory the last one freed, without page faults, under the allocator
+    policy that the commands running the GCN set first (``keep_freed_memory``).
     """
     while True:
         tape = gcn.GradientTape()
@@ -305,6 +325,7 @@ def write_metrics_csv(
 
 def cmd_train(config: RunConfig) -> RunArtifacts:
     """Train over all configured seeds and write the artifact set."""
+    keep_freed_memory()
     config.validate()
     g, a_norm, features, labels = load_inputs(config.edges, config.features, config.labels)
 
@@ -343,6 +364,7 @@ def cmd_eval(
     seed: int = 0,
 ) -> MetricsReport:
     """Cluster and score a dataset with a saved model; no training."""
+    keep_freed_memory()
     params = BirchParams(birch_threshold, branching_factor)
     check_sample_size(f1_sample_size)
     model = gcn.load_checkpoint(checkpoint_path)
@@ -409,6 +431,7 @@ def cmd_scaling(
     Each size gets an SBM with proportional blocks at fixed average degree;
     one warmup epoch runs before timing. Writes (n, epochs, seconds_per_epoch).
     """
+    keep_freed_memory()
     if sorted(sizes) != list(sizes):
         raise ValueError("sizes must be ascending")
     hidden_dims = hidden_dims or RunConfig().hidden_dims

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import modcluster as mc
-from modcluster import gcn
+from modcluster import gcn, losses
 from modcluster.gcn import SELU_ALPHA, SELU_SCALE, GradientTape
 from modcluster.graph import from_edges
 from reference import (
@@ -314,14 +314,25 @@ class TestBackward:
         x = mc.transform_embeddings(raw, tape)
         _, dldx = mc.total_loss(x, g, None)
         analytic = mc.backward(tape, dldx)
-        orders = [
-            gcn._aggregate_last(h, w.shape[1]) for h, w in zip(tape.inputs, model.weights)
-        ]
-        assert orders == aggregate_last
+        assert tape.aggregate_last == aggregate_last
         numeric = fd_weight_grads(
             lambda m: total_loss_value(m, a_norm, feats, g, None), model
         )
         assert max_rel_error(analytic, numeric) < 1e-4
+
+    def test_backward_follows_the_recorded_order(self):
+        # a narrowing layer recorded as (A H) W, an order gcn_forward never
+        # picks for it: backward takes the order from the tape, not the widths
+        g, a_norm, feats, model = self.setup_small(seed=7, dims=(4, 2))
+        upstream = np.random.default_rng(7).normal(0, 1, (g.n, 2))
+        tape = GradientTape()
+        mc.gcn_forward(model, a_norm, feats, tape)
+        assert tape.aggregate_last == [True]
+        ah = a_norm @ feats
+        out = mc.selu(ah @ model.weights[0])
+        hand = GradientTape(a_norm, [ah], [out], model.weights, aggregate_last=[False])
+        (got,), (want,) = mc.backward(hand, upstream), mc.backward(tape, upstream)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_csr_and_dense_x0_agree(self):
         # dense X0 runs layer 0 as (A X0) W, CSR X0 as A (X0 W)
@@ -393,7 +404,7 @@ def force_blocks(monkeypatch, workers, block=6, product=0):
     """Send every kernel down the row-block path in blocks of ``block``
     elements (dense products and SpMMs in blocks of ``product``, when given),
     shared out over ``workers`` cores as when the input is large."""
-    monkeypatch.setattr(gcn, "_POOL_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(gcn, "_POOL_MIN_ROWS", 0)
     monkeypatch.setattr(gcn, "_WORKERS", workers)
     monkeypatch.setattr(gcn, "_BLOCK_ELEMENTS", block)
     if product:
@@ -422,14 +433,59 @@ class TestRowBlocks:
     def test_blocks_cover_rows_in_order(self, monkeypatch):
         force_blocks(monkeypatch, workers=3)
         main = threading.get_ident()
-        blocks = gcn._row_runs(lambda lo, hi: (lo, hi, threading.get_ident()), 7, 1, 2)
+        blocks = gcn._blocks(lambda lo, hi: (lo, hi, threading.get_ident()), 7, 2)
         assert [b[:2] for b in blocks] == [(0, 2), (2, 4), (4, 6), (6, 7)]
         # runs of blocks 0, 1 and 2-3: the calling thread takes the first only
         threads = [b[2] for b in blocks]
         assert threads[0] == main
         if gcn._pool() is not None:
             assert main not in threads[1:]
-        assert gcn._row_runs(lambda lo, hi: 1 / 0, 0, 5) == []
+        assert gcn._blocks(lambda lo, hi: 1 / 0, 0, 5) == []
+        # one block, as in an n x 4 SpMM of 16000 rows: no hand-off to a worker
+        assert gcn._blocks(lambda lo, hi: (lo, hi, threading.get_ident()), 7, 8) == [(0, 7, main)]
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["below-pool-rows", "at-pool-rows"])
+    def test_pool_decided_by_the_row_count(self, monkeypatch, pooled):
+        # layer 0 runs (A H) W and layer 1 A (H W); both H have 128 or more
+        # columns, so each H' P can split as well
+        n = 20
+        g = random_graph(n, 0.4, 90)
+        x0 = np.random.default_rng(9).normal(0, 1, (n, 128))
+        model = mc.init_model([128, 130, 129], seed=9)
+        monkeypatch.setattr(gcn, "_WORKERS", 2)
+        monkeypatch.setattr(gcn, "_BLOCK_ELEMENTS", 64)
+        monkeypatch.setattr(gcn, "_PRODUCT_ELEMENTS", 64)
+        if pooled:
+            monkeypatch.setattr(gcn, "_POOL_MIN_ROWS", n)
+        assert (n >= gcn._POOL_MIN_ROWS) == pooled
+        pools, calls = [], []  # calls: [n-row kernel, blocks it ran in]
+        monkeypatch.setattr(gcn, "_pool", lambda: pools.append(1))  # None: blocks run here
+        kernels = {gcn: ("_row_runs", "_matmul", "_gram"), losses: ("_row_runs", "_matmul")}
+        for module, names in kernels.items():
+            for name in names:
+
+                def tracked(*args, original=getattr(module, name), name=name):
+                    calls.append([name, 0])
+                    return original(*args)
+
+                monkeypatch.setattr(module, name, tracked)
+        blocks = gcn._blocks
+
+        def counted(*args):
+            calls[-1][1] += len(result := blocks(*args))
+            return result
+
+        monkeypatch.setattr(gcn, "_blocks", counted)
+        tape = GradientTape()
+        raw = mc.gcn_forward(model, mc.normalized_adjacency(g), x0, tape)
+        x = mc.transform_embeddings(raw, tape)
+        mc.backward(tape, mc.total_loss(x, g, None)[1])
+        assert {name for name, _ in calls} == {"_row_runs", "_matmul", "_gram"}
+        assert [name for name, _ in calls].count("_gram") == 2
+        if pooled:  # every kernel split, and the pool was asked for
+            assert min(count for _, count in calls) >= 2 and pools
+        else:  # every kernel whole: each _row_runs call is one block, and no pool
+            assert max(count for _, count in calls) == 0 and not pools
 
     @pytest.mark.parametrize("n", [1, 5, 23])
     @pytest.mark.parametrize("csr", [False, True], ids=["dense-x0", "csr-x0"])
@@ -469,7 +525,9 @@ class TestRowBlocks:
         def run():
             # one layer whose output is x; with A = H = I its weight
             # gradient is SELU'(x) times the gradient the transform passes on
-            tape = GradientTape(sp.identity(9, format="csr"), [np.eye(9)], [x], [np.eye(3)])
+            tape = GradientTape(
+                sp.identity(9, format="csr"), [np.eye(9)], [x], [np.eye(3)], aggregate_last=[True]
+            )
             with pytest.warns(UserWarning) as caught:
                 out = mc.transform_embeddings(x, tape)
             grads = mc.backward(tape, g)

@@ -136,7 +136,7 @@ def test_train_and_eval_load_through_module_attributes(tmp_path, monkeypatch):
 
 def test_pooled_epoch_calls_hooks_on_the_calling_thread(monkeypatch):
     n = 4096
-    assert n * 128 < gcn._POOL_MIN_ELEMENTS <= n * 256  # layer 0 is pooled, layer 1 not
+    monkeypatch.setattr(gcn, "_POOL_MIN_ROWS", n)  # the smallest graph whose epoch is pooled
     rng = np.random.default_rng(0)
     ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
     g = graph.from_edges(np.concatenate([ring, rng.integers(0, n, (4 * n, 2))]), n)

@@ -85,7 +85,7 @@ class TestModularityLoss:
         want = -(float(np.sum(x * ax)) - float(dtx @ dtx) / two_m) / two_m
         want_grad = -(2.0 * ax - np.outer(d, dtx) / g.m) / two_m
         # every kernel in blocks of 2 rows, as tests/test_gcn.py's TestRowBlocks forces
-        monkeypatch.setattr(gcn, "_POOL_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(gcn, "_POOL_MIN_ROWS", 0)
         monkeypatch.setattr(gcn, "_WORKERS", workers)
         monkeypatch.setattr(gcn, "_BLOCK_ELEMENTS", 8)
         monkeypatch.setattr(gcn, "_PRODUCT_ELEMENTS", 8)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import modcluster as mc
-from modcluster import cli, pipeline
+from modcluster import pipeline
 from modcluster.cli import main
 from modcluster.pipeline import (
     RunConfig,
@@ -539,17 +539,17 @@ class TestCli:
 
 
 class TestAllocatorPolicy:
-    GENERATE = ["generate", "--blocks", "6,6", "--p-in", "0.6", "--p-out", "0.1"]
+    SCALING = ["scaling", "--sizes", "100,200", "--dims", "8,4", "--epochs", "2"]
 
     @staticmethod
     def fake_libc(monkeypatch, libc):
         """Serve ``libc`` for the process's own symbols; other libraries load as usual."""
-        real = cli.ctypes.CDLL
+        real = pipeline.ctypes.CDLL
 
         def cdll(name, *args, **kwargs):
             return libc if name is None else real(name, *args, **kwargs)
 
-        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", cdll)
 
     def test_main_sets_both_thresholds(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -560,12 +560,14 @@ class TestAllocatorPolicy:
                 return 1
 
         self.fake_libc(monkeypatch, Libc)
-        assert main([*self.GENERATE, "--out", str(tmp_path)]) == 0
-        assert calls == [(cli.M_MMAP_THRESHOLD, 1 << 30), (cli.M_TRIM_THRESHOLD, 1 << 30)]
+        assert main([*self.SCALING, "--out", str(tmp_path / "scaling.csv")]) == 0
+        assert calls == [
+            (pipeline.M_MMAP_THRESHOLD, 1 << 30), (pipeline.M_TRIM_THRESHOLD, 1 << 30)
+        ]
 
     def test_silent_without_mallopt(self, tmp_path, monkeypatch, capsys):
         self.fake_libc(monkeypatch, object())
-        assert main([*self.GENERATE, "--out", str(tmp_path)]) == 0
+        assert main([*self.SCALING, "--out", str(tmp_path / "scaling.csv")]) == 0
         assert capsys.readouterr().err == ""
 
     def test_cli_train_writes_the_bytes_of_cmd_train(self, small_dataset, tmp_path, capsys):
