@@ -1,13 +1,13 @@
 """BIRCH clustering over embedding rows, without a preset cluster count.
 
 Points are inserted one at a time into a height-balanced CF-tree. Each node
-keeps its entries' clustering features as rows of three arrays: count `n`
-(entries), linear sum `ls` (entries x d) and squared sum `ss` (entries).
-A leaf row is a subcluster; a point is absorbed by the nearest leaf row when
-the merged subcluster radius stays within the threshold, otherwise it opens
-a new row. An internal row sums its child's rows. Overfull nodes split on
-their farthest pair of entry centroids. The final clusters are exactly the
-leaf subclusters, so k emerges from the data.
+keeps its entries' clustering features as rows of arrays: count `n`, linear
+sum `ls` (entries x d), squared sum `ss` and centroid `c`, which equals
+`ls / n` and is rewritten only where a row changes. A leaf row is a
+subcluster; a point is absorbed by the nearest leaf row when the merged
+subcluster radius stays within the threshold, otherwise it opens a new row.
+An internal row sums its child's rows. Overfull nodes split on their farthest
+pair of entry centroids. The final clusters are exactly the leaf subclusters.
 
 Since rows are unit vectors, Euclidean distance here is monotone in cosine
 similarity (||u - v||^2 = 2(1 - u.v)), making CF geometry the right space.
@@ -15,6 +15,7 @@ similarity (||u - v||^2 = 2(1 - u.v)), making CF geometry the right space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,20 +45,21 @@ class _Entry:
 
 
 class CfNode:
-    """Entry i is row i of `n`, `ls` and `ss`; an internal node also holds
-    `entries[i].child`. Internal rows' `ss` is read only by `validate`."""
+    """Entry i is row i of `n`, `ls`, `ss` and `c`; an internal node also
+    holds `entries[i].child`. Internal rows' `ss` is read only by `validate`."""
 
-    __slots__ = ("is_leaf", "n", "ls", "ss", "entries")
+    __slots__ = ("is_leaf", "n", "ls", "ss", "c", "entries")
 
     def __init__(self, is_leaf: bool, n, ls, ss, entries=None):
         self.is_leaf = is_leaf
-        self.n, self.ls, self.ss = n, ls, ss
+        self.n, self.ls, self.ss, self.c = n, ls, ss, ls / n[:, None]
         self.entries: list[_Entry] = entries if entries is not None else []
 
     def insert_row(self, i: int, n, ls, ss) -> None:
         self.n = np.insert(self.n, i, n)
         self.ls = np.insert(self.ls, i, ls, axis=0)
         self.ss = np.insert(self.ss, i, ss)
+        self.c = np.insert(self.c, i, ls / n, axis=0)
 
 
 def _totals(node: CfNode):
@@ -67,10 +69,10 @@ def _totals(node: CfNode):
 
 
 def _nearest(node: CfNode, x: np.ndarray) -> int:
-    diff = node.ls / node.n[:, None] - x
-    # a stack of 1 x d by d x 1 products takes the same dot product per row
-    # as `x @ x`, so near-ties resolve as a per-row loop would
-    return int(np.argmin((diff[:, None, :] @ diff[:, :, None]).ravel()))
+    diff = node.c - x
+    # vecdot takes the same dot product per row as `x @ x` (einsum does not),
+    # so near-ties resolve as a per-row loop would
+    return int(np.vecdot(diff, diff).argmin())
 
 
 class CfTree:
@@ -79,39 +81,41 @@ class CfTree:
         self.root: CfNode | None = None
 
     def insert(self, x: np.ndarray) -> None:
+        xx = float(x @ x)
         if self.root is None:
-            self.root = CfNode(True, np.ones(1, np.int64), x[None].copy(), np.array([x @ x]))
+            self.root = CfNode(True, np.ones(1, np.int64), x[None].copy(), np.array([xx]))
             return
-        split = self._insert(self.root, x)
+        split = self._insert(self.root, x, xx)
         if split is not None:
             rows = (np.array(col) for col in zip(*map(_totals, split)))
             self.root = CfNode(False, *rows, [_Entry(child) for child in split])
 
-    def _insert(self, node: CfNode, x: np.ndarray):
+    def _insert(self, node: CfNode, x: np.ndarray, xx: float):
         best = _nearest(node, x)
-        xx = x @ x
         if node.is_leaf:
-            n, ls, ss = node.n[best] + 1, node.ls[best] + x, node.ss[best] + xx
+            n, ls, ss = int(node.n[best]) + 1, node.ls[best] + x, float(node.ss[best]) + xx
             c = ls / n
-            r2 = ss / n - c @ c
-            if r2 < -1e-12:
+            # Python floats round as float64 scalars do; the slack scales with ss / n
+            r2 = ss / n - float(c @ c)
+            if r2 < -1e-12 * max(ss / n, 1.0):
                 raise ValueError("negative squared radius beyond rounding slack")
-            if np.sqrt(max(r2, 0.0)) <= self.params.threshold:
-                node.n[best], node.ls[best], node.ss[best] = n, ls, ss
+            if math.sqrt(max(r2, 0.0)) <= self.params.threshold:
+                node.n[best], node.ls[best], node.ss[best], node.c[best] = n, ls, ss, c
                 return None
             node.insert_row(len(node.n), 1, x, xx)
         else:
-            split = self._insert(node.entries[best].child, x)
+            split = self._insert(node.entries[best].child, x, xx)
             if split is None:
                 node.n[best] += 1
                 node.ls[best] += x
                 node.ss[best] += xx
-                return None
-            half_a, half_b = split
-            node.n[best], node.ls[best], node.ss[best] = _totals(half_a)
-            node.entries[best] = _Entry(half_a)
-            node.insert_row(best + 1, *_totals(half_b))
-            node.entries.insert(best + 1, _Entry(half_b))
+            else:
+                half_a, half_b = split
+                node.n[best], node.ls[best], node.ss[best] = _totals(half_a)
+                node.entries[best] = _Entry(half_a)
+                node.insert_row(best + 1, *_totals(half_b))
+                node.entries.insert(best + 1, _Entry(half_b))
+            node.c[best] = node.ls[best] / node.n[best]
         if len(node.n) > self.params.branching_factor:
             return self._split(node)
         return None
@@ -119,8 +123,7 @@ class CfTree:
     def _split(self, node: CfNode):
         """Split an overfull node on its farthest pair of entry centroids:
         each half lists its seed entry first, then its others in order."""
-        cents = node.ls / node.n[:, None]
-        diff = cents[:, None, :] - cents[None, :, :]
+        diff = node.c[:, None, :] - node.c[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
         others = np.delete(np.arange(len(node.n)), [i, j])
@@ -137,17 +140,19 @@ class CfTree:
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                yield from node.ls / node.n[:, None]
+                yield from node.c
             else:
                 stack.extend(e.child for e in reversed(node.entries))
 
     def validate(self) -> None:
-        """Check branching caps and CF additivity at every internal node."""
+        """Check each node's branching cap and centroid rows, and internal CF additivity."""
         stack = [self.root] if self.root is not None else []
         while stack:
             node = stack.pop()
             if len(node.n) > self.params.branching_factor:
                 raise AssertionError("node exceeds branching factor")
+            if not np.array_equal(node.c, node.ls / node.n[:, None]):
+                raise AssertionError("centroid rows differ from ls / n")
             if node.is_leaf:
                 continue
             for row, entry in enumerate(node.entries):

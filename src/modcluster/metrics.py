@@ -27,7 +27,7 @@ def _edge_ends(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Per cluster, the directed edge ends inside it and the ends cut from it."""
     if len(p.assignment) != g.n:
         raise ValueError("partition does not cover the graph")
-    src = p.assignment[np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)]
+    src = np.repeat(p.assignment, g.degrees)
     same = src == p.assignment[g.adj.indices]
     return np.bincount(src[same], minlength=p.k), np.bincount(src[~same], minlength=p.k)
 

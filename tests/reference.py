@@ -112,3 +112,97 @@ def random_graph(n: int, p: float, seed: int):
             return mc.generate_sbm([n], p, 0.0, seed)[0]
         except ValueError:
             seed += 1
+
+
+class _BirchNode:
+    """One CF-tree node as parallel lists: count, linear sum and squared sum
+    per row, and for an internal node the child behind each row."""
+
+    def __init__(self, leaf, n, ls, ss, children=None):
+        self.leaf, self.n, self.ls, self.ss = leaf, n, ls, ss
+        self.children = children if children is not None else []
+
+    def totals(self):
+        """Row sums, added one row at a time in row order."""
+        return sum(self.n), sum(self.ls), sum(self.ss)
+
+
+def birch_reference(x: np.ndarray, threshold: float, branching: int):
+    """Plain BIRCH: every visit divides the whole node's rows by their
+    counts, ranks them with a per-row dot-product loop and takes ``x @ x``
+    again. Returns (leaf centroids left to right, assignment).
+
+    The split and the readout score pairs and rows with the library's own
+    formulas, which no insert path touches."""
+
+    def centroids(node):
+        return np.array(node.ls) / np.array(node.n, dtype=np.float64)[:, None]
+
+    def nearest(node, point):
+        return int(np.argmin([row @ row for row in centroids(node) - point]))
+
+    def split(node):
+        cents = centroids(node)
+        diff = cents[:, None, :] - cents[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
+        others = [r for r in range(len(node.n)) if r not in (i, j)]
+        near_i = [r for r in others if d2[r, i] <= d2[r, j]]
+        near_j = [r for r in others if not d2[r, i] <= d2[r, j]]
+        halves = []
+        for rows in ([i, *near_i], [j, *near_j]):
+            children = [node.children[r] for r in rows] if not node.leaf else None
+            halves.append(_BirchNode(node.leaf, [node.n[r] for r in rows],
+                                     [node.ls[r] for r in rows],
+                                     [node.ss[r] for r in rows], children))
+        return halves
+
+    def insert(node, point):
+        best = nearest(node, point)
+        xx = point @ point
+        if node.leaf:
+            n, ls, ss = node.n[best] + 1, node.ls[best] + point, node.ss[best] + xx
+            c = ls / n
+            r2 = ss / n - c @ c
+            if np.sqrt(max(r2, 0.0)) <= threshold:
+                node.n[best], node.ls[best], node.ss[best] = n, ls, ss
+                return None
+            node.n.append(1)
+            node.ls.append(point.copy())
+            node.ss.append(xx)
+        else:
+            halves = insert(node.children[best], point)
+            if halves is None:
+                node.n[best] += 1
+                node.ls[best] = node.ls[best] + point
+                node.ss[best] += xx
+                return None
+            a, b = halves
+            node.n[best], node.ls[best], node.ss[best] = a.totals()
+            node.children[best] = a
+            for column, value in zip((node.n, node.ls, node.ss), b.totals()):
+                column.insert(best + 1, value)
+            node.children.insert(best + 1, b)
+        return split(node) if len(node.n) > branching else None
+
+    root = None
+    for point in x:
+        if root is None:
+            root = _BirchNode(True, [1], [point.copy()], [point @ point])
+            continue
+        halves = insert(root, point)
+        if halves is not None:
+            rows = [h.totals() for h in halves]
+            root = _BirchNode(False, *(list(col) for col in zip(*rows)), halves)
+
+    leaves, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.leaf:
+            leaves.append(centroids(node))
+        else:
+            stack.extend(reversed(node.children))
+    cents = np.concatenate(leaves)
+    scores = x @ cents.T - 0.5 * np.einsum("ij,ij->i", cents, cents)
+    _, assignment = np.unique(np.argmax(scores, axis=1), return_inverse=True)
+    return cents, assignment

@@ -4,6 +4,8 @@ import pytest
 import modcluster as mc
 from modcluster.birch import BirchParams, CfTree
 
+from reference import birch_reference
+
 
 def sphere_blobs(rng, centers, per_blob, spread_deg):
     """Points on the unit sphere within spread_deg of each center."""
@@ -57,6 +59,13 @@ class TestClusteringFeature:
         # the merged radius of (0,0) and (2,0) is exactly 1
         part = mc.birch_fit(np.array([[0.0, 0.0], [2.0, 0.0]]), BirchParams(threshold))
         assert part.k == k
+
+    def test_large_norm_near_duplicates_merge(self):
+        # three rows 1e-9 apart at norm 63: the squared radius rounds to -1.4e-12
+        x = np.array([[29.999999998014, 54.999999998454],
+                      [29.999999999911, 55.000000000226],
+                      [30.000000000257, 54.999999999737]])
+        assert mc.birch_fit(x, BirchParams(threshold=0.5)).k == 1
 
     def test_singleton_radius_zero(self):
         (leaf,) = leaf_nodes(grown_tree(np.array([[3.0, 4.0]]), BirchParams()))
@@ -149,6 +158,47 @@ class TestCfTree:
         tree.validate()
         assert sum(1 for _ in tree.leaf_entries()) == 40
         assert not tree.root.is_leaf
+
+
+def depth(node):
+    return 1 if node.is_leaf else 1 + depth(node.entries[0].child)
+
+
+def mirrored_groups(rng, groups, threshold, d):
+    """Groups of three rows, spread far apart: a centre with x0 == x1 and two
+    rows mirrored across that plane, about 0.65 threshold from it. The centre,
+    inserted last, is exactly as far from both, so which one absorbs it turns
+    on how the two squared distances round."""
+    spread = 10 * threshold * groups ** (1 / (d - 1))  # centres span d - 1 dims
+    centre = rng.uniform(-spread, spread, (groups, d))
+    centre[:, 1] = centre[:, 0]
+    offset = rng.normal(0, 0.3 * threshold / np.sqrt(d), (groups, d))
+    offset[:, 0], offset[:, 1] = 0.9 * threshold, -0.9 * threshold
+    mirror = offset[:, [1, 0, *range(2, d)]]
+    return np.stack([centre + offset, centre + mirror, centre], axis=1).reshape(-1, d)
+
+
+class TestAgainstReference:
+    """The CF-tree gives the same tree, bit for bit, as the plain BIRCH that
+    divides every node on each visit and ranks rows one dot product at a
+    time. Ranking with einsum, or with ||c||^2 - 2 c.x, breaks the exact
+    ties that the mirrored groups set up differently and fails here."""
+
+    @pytest.mark.parametrize(
+        "branching, threshold, d",
+        [(b, t, d) for b in (2, 3) for t in (0.05, 0.1, 0.5) for d in (2, 5, 64)]
+        + [(50, 0.05, 64), (50, 0.1, 2), (50, 0.5, 5)],
+    )
+    def test_partition_and_centroids_match(self, branching, threshold, d):
+        rng = np.random.default_rng([branching, int(threshold * 100), d])
+        rows = mirrored_groups(rng, 20 if branching < 50 else 1000, threshold, d)
+        x = np.concatenate([rows, rows[rng.integers(0, len(rows), len(rows))]])
+        params = BirchParams(threshold, branching)
+        tree = grown_tree(x, params)
+        assert depth(tree.root) >= 3  # leaves and internal nodes have split
+        centroids, assignment = birch_reference(x, threshold, branching)
+        assert np.array_equal(np.array(list(tree.leaf_entries())), centroids)
+        assert np.array_equal(mc.birch_fit(x, params).assignment, assignment)
 
 
 class TestParamsAndRelabel:

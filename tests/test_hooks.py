@@ -3,14 +3,16 @@
 The benchmark never edits the package: it swaps module attributes for
 wrappers while a command runs. These tests pin what that needs: the
 epoch's Adam step and the BIRCH fit are looked up through module
-attributes, ``AdamState.step`` counts the steps, ``CfTree.leaf_entries``
-takes only the tree, so a one-argument wrapper can replace it, an internal
-CF-tree node's ``entries[i].child`` is its i-th child (the tree-depth
-probe walks it), a bare ``GradientTape()`` records the transform's row
-masks, the normalized adjacency is a matrix of its own, train and eval
-read their inputs through the loaders' module attributes, and an epoch large
-enough for the worker pool still makes each GCN SpMM and SELU call on the
-calling thread, where the tracer's span stack lives.
+attributes, ``AdamState.step`` counts the steps, ``CfTree.insert`` and
+``CfTree._split`` are looked up on the class once per row and once per
+split, ``CfTree.leaf_entries`` takes only the tree, so a one-argument
+wrapper can replace it, an internal CF-tree node's ``entries[i].child``
+is its i-th child (the tree-depth probe walks it), a bare
+``GradientTape()`` records the transform's row masks, the normalized
+adjacency is a matrix of its own, train and eval read their inputs through
+the loaders' module attributes, and an epoch large enough for the worker
+pool still makes each GCN SpMM and SELU call on the calling thread, where
+the tracer's span stack lives.
 """
 
 import inspect
@@ -81,6 +83,28 @@ def test_one_argument_leaf_entries_wrapper(monkeypatch):
     got = mc.birch_fit(x, params)
     assert np.array_equal(got.assignment, expected.assignment)
     assert seen and seen[0] >= got.k > 3
+
+
+def test_insert_and_split_method_hooks_count_every_call(monkeypatch):
+    # the benchmark's birch.inserts, birch.splits and birch.build_s come from
+    # wrappers set on these class attributes
+    rng = np.random.default_rng(5)
+    x = mc.transform_embeddings(rng.normal(0, 1, (150, 5)))
+    params = mc.BirchParams(threshold=0.1, branching_factor=3)
+    expected = mc.birch_fit(x, params)
+    calls = {"insert": 0, "_split": 0}
+    for attr in calls:
+        original = getattr(birch.CfTree, attr)
+
+        def counted(self, *args, original=original, attr=attr):
+            calls[attr] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(birch.CfTree, attr, counted)
+    got = mc.birch_fit(x, params)
+    assert calls["insert"] == len(x)
+    assert calls["_split"] >= 1
+    assert np.array_equal(got.assignment, expected.assignment)
 
 
 def test_internal_node_entries_hold_children(monkeypatch):
