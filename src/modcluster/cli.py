@@ -91,8 +91,6 @@ def _add_train_parser(sub) -> None:
 
 def _run_train(args: argparse.Namespace) -> int:
     config = _train_config(args)
-    if not config.edges or not config.features:
-        raise ValueError("--edges and --features are required")
     artifacts = cmd_train(config)
     ok = [r for r in artifacts.results if r.report is not None]
     print(f"run {config.run_id}: {len(ok)}/{len(config.seeds)} seeds finished")

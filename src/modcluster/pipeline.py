@@ -64,6 +64,12 @@ def derive_seed(seed: int, role: str) -> int:
     return int(np.random.SeedSequence([int(seed), _ROLES[role]]).generate_state(1)[0])
 
 
+def check_seeds(seeds: list[int]) -> None:
+    """Run seeds are distinct (each names its own files and metrics row) and non-negative."""
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be one or more distinct non-negative integers, got {seeds}")
+
+
 @dataclass
 class RunConfig:
     edges: str = ""
@@ -90,8 +96,8 @@ class RunConfig:
             raise ValueError("epochs must be >= 1")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be a positive finite number")
-        if not (self.lam >= 0 and self.alpha >= 0):
-            raise ValueError("lambda and alpha must be nonnegative")
+        if not (0.0 <= self.lam < np.inf and 0.0 <= self.alpha < np.inf):
+            raise ValueError("lambda and alpha must be nonnegative finite numbers")
         if not 0.0 <= self.label_fraction <= 1.0:
             raise ValueError("label_fraction must lie in [0, 1]")
         if self.aux_mode not in ("none", *_AUX_FILES):
@@ -99,12 +105,13 @@ class RunConfig:
         flag = _AUX_FILES.get(self.aux_mode)
         if flag and not getattr(self, flag):
             raise ValueError(f"aux_mode {self.aux_mode} requires --{flag}")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
+        check_seeds(self.seeds)
         # the input size comes from the features file; 1 stands in for it
         gcn.check_layer_dims([1, *self.hidden_dims])
         check_sample_size(self.f1_sample_size)
         BirchParams(self.birch_threshold, self.branching_factor)  # raises on a bad value
+        if not self.edges or not self.features:
+            raise ValueError("--edges and --features are required")
 
 
 @dataclass
@@ -126,61 +133,47 @@ class RunArtifacts:
     std: dict
 
 
-def _aux_file_rows(config: RunConfig, n: int) -> np.ndarray:
-    """The rows of the file the aux mode reads (--pairs or --partition), read
-    for a run's first seed and kept on its config for the others."""
-    pairs = config.aux_mode == "pairs"
-    key = (pairs, config.pairs if pairs else config.partition, n)
-    cached = getattr(config, "_aux_file", None)
-    if cached is None or cached[0] != key:
-        config._aux_file = key, (load_pairs if pairs else load_labels)(*key[1:])
-    return config._aux_file[1]
+def read_aux_rows(config: RunConfig, n: int, labels: np.ndarray | None) -> np.ndarray | None:
+    """What the aux mode supervises with, read once per run: None, the --pairs
+    rows, or a label array (``labels``, or the --partition file's). Makes every
+    check that does not depend on the seed, so ``build_aux`` only draws."""
+    if config.aux_mode == "none":
+        return None
+    if config.aux_mode == "pairs":
+        pairs = load_pairs(config.pairs, n)
+        if len(pairs) == 0:
+            raise ValueError(f"{config.pairs}: empty pair file")
+        return pairs
+    # external-partition reads a file of the same shape as labels.tsv
+    source = labels if config.aux_mode == "labels" else load_labels(config.partition, n)
+    if source is None:
+        raise ValueError("aux_mode=labels requires a labels file")
+    labeled = np.count_nonzero(source != UNLABELED)
+    if labeled == 0:
+        raise ValueError("auxiliary source has no labeled nodes")
+    if round(config.label_fraction * labeled) == 0:
+        raise ValueError("label_fraction selects an empty auxiliary subset")
+    return source
 
 
 def build_aux(
-    config: RunConfig, n: int, labels: np.ndarray | None, seed: int
+    config: RunConfig, n: int, rows: np.ndarray | None, seed: int
 ) -> AuxiliaryInfo | None:
-    """Per-seed auxiliary supervision according to the configured mode."""
+    """The seed's auxiliary supervision from the run's aux rows (see read_aux_rows):
+    the pairs as they are, or the labelled subset this seed draws."""
+    weights = {"lam": config.lam, "alpha": config.alpha}
     if config.aux_mode == "none":
-        if config.alpha == 0.0:
-            return None
-        return AuxiliaryInfo(variant="none", lam=config.lam, alpha=config.alpha)
-
+        return AuxiliaryInfo(**weights) if config.alpha else None
     if config.aux_mode == "pairs":
-        aux = AuxiliaryInfo(
-            variant="pairs",
-            pairs=_aux_file_rows(config, n),
-            lam=config.lam,
-            alpha=config.alpha,
-        )
-        aux.validate(n)
-        return aux
-
-    if config.aux_mode == "labels":
-        if labels is None:
-            raise ValueError("aux_mode=labels requires a labels file")
-        source = labels
-    else:  # external-partition: same file shape as labels.tsv
-        source = _aux_file_rows(config, n)
-
-    available = np.flatnonzero(source != UNLABELED)
-    if len(available) == 0:
-        raise ValueError("auxiliary source has no labeled nodes")
-    take = int(round(config.label_fraction * len(available)))
-    if take == 0:
-        raise ValueError("label_fraction selects an empty auxiliary subset")
-    if take < len(available):
-        rng = np.random.default_rng(derive_seed(seed, "aux"))
-        subset = np.sort(rng.choice(available, size=take, replace=False))
+        aux = AuxiliaryInfo("pairs", pairs=rows, **weights)
     else:
-        subset = available
-    aux = AuxiliaryInfo(
-        variant="labels",
-        subset=subset,
-        onehot=onehot_from_labels(source, subset),
-        lam=config.lam,
-        alpha=config.alpha,
-    )
+        subset = np.flatnonzero(rows != UNLABELED)
+        take = round(config.label_fraction * len(subset))
+        if take < len(subset):
+            rng = np.random.default_rng(derive_seed(seed, "aux"))
+            subset = np.sort(rng.choice(subset, size=take, replace=False))
+        onehot = onehot_from_labels(rows, subset)
+        aux = AuxiliaryInfo("labels", subset=subset, onehot=onehot, **weights)
     aux.validate(n)
     return aux
 
@@ -192,9 +185,13 @@ def train_single_seed(
     config: RunConfig,
     seed: int,
     labels: np.ndarray | None = None,
+    aux_rows: np.ndarray | None = None,
 ) -> SeedResult:
-    """Full training for one seed; raises DivergenceError when it goes non-finite."""
-    aux = build_aux(config, g.n, labels, seed)
+    """Full training for one seed; raises DivergenceError when it goes non-finite.
+    ``aux_rows`` is the run's ``read_aux_rows``, read here when not given."""
+    if aux_rows is None:
+        aux_rows = read_aux_rows(config, g.n, labels)
+    aux = build_aux(config, g.n, aux_rows, seed)
     dims = [features.shape[1]] + list(config.hidden_dims)
     model = gcn.init_model(dims, derive_seed(seed, "init"))
     adam = gcn.init_adam(model, config.learning_rate)
@@ -328,6 +325,7 @@ def cmd_train(config: RunConfig) -> RunArtifacts:
     keep_freed_memory()
     config.validate()
     g, a_norm, features, labels = load_inputs(config.edges, config.features, config.labels)
+    aux_rows = read_aux_rows(config, g.n, labels)
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -335,7 +333,7 @@ def cmd_train(config: RunConfig) -> RunArtifacts:
     failures: list[str] = []
     for seed in config.seeds:
         try:
-            res = train_single_seed(g, a_norm, features, config, seed, labels)
+            res = train_single_seed(g, a_norm, features, config, seed, labels, aux_rows)
         except DivergenceError as exc:
             failures.append(f"seed {seed}: {exc}")
             results.append(SeedResult(seed, None, [], None, None, failure=str(exc)))
@@ -367,6 +365,7 @@ def cmd_eval(
     keep_freed_memory()
     params = BirchParams(birch_threshold, branching_factor)
     check_sample_size(f1_sample_size)
+    check_seeds([seed])
     model = gcn.load_checkpoint(checkpoint_path)
     g, a_norm, features, labels = load_inputs(edges_path, features_path, labels_path)
     return cluster_and_score(model, g, a_norm, features, labels, params, f1_sample_size, seed)[1]
@@ -424,7 +423,6 @@ def cmd_scaling(
     seed: int = 0,
     hidden_dims: list[int] | None = None,
     epochs_timed: int = 3,
-    learning_rate: float = RunConfig.learning_rate,
 ) -> list[tuple[int, int, float]]:
     """Per-epoch wall time of loss+gradient evaluation at increasing n.
 
@@ -440,7 +438,7 @@ def cmd_scaling(
         g, _, features = sbm_dataset(*scaling_sbm_params(n), seed)
         a_norm = normalized_adjacency(g)
         model = gcn.init_model([features.shape[1]] + hidden_dims, derive_seed(seed, "init"))
-        adam = gcn.init_adam(model, learning_rate)
+        adam = gcn.init_adam(model)
         epochs = train_epochs(model, adam, g, a_norm, features, None)
         next(epochs)  # warmup
         start = time.perf_counter()

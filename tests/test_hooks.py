@@ -50,7 +50,7 @@ def sbm():
 
 def test_train_single_seed_signature():
     params = list(inspect.signature(pipeline.train_single_seed).parameters)
-    assert params == ["g", "a_norm", "features", "config", "seed", "labels"]
+    assert params == ["g", "a_norm", "features", "config", "seed", "labels", "aux_rows"]
 
 
 def test_epoch_and_fit_hooks_see_every_call(sbm, monkeypatch):

@@ -17,6 +17,7 @@ from modcluster.pipeline import (
     cmd_scaling,
     cmd_train,
     derive_seed,
+    read_aux_rows,
 )
 
 
@@ -73,17 +74,18 @@ class TestGenerate:
 class TestBuildAux:
     def test_none_mode(self):
         config = RunConfig(aux_mode="none", alpha=0.0)
+        assert read_aux_rows(config, 10, None) is None
         assert build_aux(config, 10, None, seed=0) is None
 
     def test_none_mode_with_regularizer(self):
         config = RunConfig(aux_mode="none", alpha=0.5)
-        aux = build_aux(config, 10, None, seed=0)
+        aux = build_aux(config, 10, read_aux_rows(config, 10, None), seed=0)
         assert aux.variant == "none" and aux.alpha == 0.5
 
     def test_labels_mode_fraction(self):
         labels = np.array([0, 0, 1, 1, 0, 1, 0, 1, 0, 1])
         config = RunConfig(aux_mode="labels", label_fraction=0.5, lam=0.2)
-        aux = build_aux(config, 10, labels, seed=1)
+        aux = build_aux(config, 10, read_aux_rows(config, 10, labels), seed=1)
         assert aux.variant == "labels"
         assert len(aux.subset) == 5
         assert aux.onehot.shape == (5, 2)
@@ -91,9 +93,10 @@ class TestBuildAux:
     def test_subset_deterministic_per_seed(self):
         labels = np.arange(20) % 3
         config = RunConfig(aux_mode="labels", label_fraction=0.3, lam=0.2)
-        a = build_aux(config, 20, labels, seed=4).subset
-        b = build_aux(config, 20, labels, seed=4).subset
-        c = build_aux(config, 20, labels, seed=5).subset
+        rows = read_aux_rows(config, 20, labels)
+        a = build_aux(config, 20, rows, seed=4).subset
+        b = build_aux(config, 20, rows, seed=4).subset
+        c = build_aux(config, 20, rows, seed=5).subset
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -101,7 +104,7 @@ class TestBuildAux:
         path = tmp_path / "pairs.tsv"
         path.write_text("0\t1\n2\t3\n")
         config = RunConfig(aux_mode="pairs", pairs=str(path), lam=0.2)
-        aux = build_aux(config, 5, None, seed=0)
+        aux = build_aux(config, 5, read_aux_rows(config, 5, None), seed=0)
         assert aux.variant == "pairs"
         assert aux.pairs.shape == (2, 2)
 
@@ -128,14 +131,14 @@ class TestBuildAux:
         config = RunConfig(
             aux_mode="external-partition", partition=str(path), lam=0.2
         )
-        aux = build_aux(config, 6, None, seed=0)
+        aux = build_aux(config, 6, read_aux_rows(config, 6, None), seed=0)
         assert aux.variant == "labels"
         assert len(aux.subset) == 4
 
     def test_labels_mode_requires_labels(self):
         config = RunConfig(aux_mode="labels", lam=0.2)
         with pytest.raises(ValueError, match="labels"):
-            build_aux(config, 10, None, seed=0)
+            read_aux_rows(config, 10, None)
 
 
 class TestCmdTrain:
@@ -266,10 +269,10 @@ class TestCmdTrain:
         out, _ = small_dataset
         real = pipeline.train_single_seed
 
-        def flaky(g, a_norm, feats, config, seed, labels=None):
+        def flaky(g, a_norm, feats, config, seed, labels=None, aux_rows=None):
             if seed == 0:
                 raise pipeline.DivergenceError("non-finite loss at epoch 3")
-            return real(g, a_norm, feats, config, seed, labels)
+            return real(g, a_norm, feats, config, seed, labels, aux_rows)
 
         monkeypatch.setattr(pipeline, "train_single_seed", flaky)
         with pytest.warns(UserWarning, match="diverged"):
@@ -454,12 +457,23 @@ class TestCli:
             ("dims-0", r"layer dimensions must be positive"),
             ("eval-f1-sample-0", r"f1_sample_size must be at least 2"),
             ("edge-beyond-int64", r"edges\.tsv:\d+: integer out of range"),
+            ("pairs-out-of-range", r"aux\.tsv:2: node id out of range"),
+            ("pairs-empty", r"aux\.tsv: empty pair file"),
+            ("partition-non-numeric", r"aux\.tsv:1: non-numeric field"),
+            ("labels-none-labeled", r"auxiliary source has no labeled nodes"),
+            ("label-fraction-empty", r"label_fraction selects an empty auxiliary subset"),
+            ("seeds-negative", r"distinct non-negative integers, got \[-1\]"),
+            ("seeds-repeated", r"distinct non-negative integers, got \[1, 1\]"),
+            ("alpha-inf", r"lambda and alpha must be nonnegative finite numbers"),
+            ("eval-seed-negative", r"distinct non-negative integers, got \[-1\]"),
         ],
         ids=[
             "unknown-key", "comment-only-edges", "missing-file", "birch-threshold-0",
             "birch-threshold-nan", "branching-1", "f1-sample-0", "lr-nan", "eval-branching-1",
             "labels-without-file", "pairs-without-file", "partition-without-file", "dims-0",
-            "eval-f1-sample-0", "edge-beyond-int64",
+            "eval-f1-sample-0", "edge-beyond-int64", "pairs-out-of-range", "pairs-empty",
+            "partition-non-numeric", "labels-none-labeled", "label-fraction-empty",
+            "seeds-negative", "seeds-repeated", "alpha-inf", "eval-seed-negative",
         ],
     )
     def test_bad_input_prints_one_line_and_exits_2(self, tmp_path, capsys, case, message):
@@ -471,6 +485,7 @@ class TestCli:
         capsys.readouterr()
         argv = ["train", "--edges", str(data / "edges.tsv"),
                 "--features", str(data / "features.tsv"), "--out", str(tmp_path / "run")]
+        aux = tmp_path / "aux.tsv"
         bad_flags = {
             "birch-threshold-0": ["--birch-threshold", "0"],
             "birch-threshold-nan": ["--birch-threshold", "nan"],
@@ -483,7 +498,26 @@ class TestCli:
             "dims-0": ["--dims", "0"],
             "eval-branching-1": ["--branching", "1"],
             "eval-f1-sample-0": ["--labels", str(data / "labels.tsv"), "--f1-sample", "0"],
+            "pairs-out-of-range": ["--aux-mode", "pairs", "--pairs", str(aux), "--lambda", "0.5"],
+            "pairs-empty": ["--aux-mode", "pairs", "--pairs", str(aux), "--lambda", "0.5"],
+            "partition-non-numeric": ["--aux-mode", "external-partition", "--partition", str(aux)],
+            "labels-none-labeled": ["--aux-mode", "labels", "--labels", str(aux), "--lambda", "0.5"],
+            "label-fraction-empty": ["--aux-mode", "labels", "--labels", str(data / "labels.tsv"),
+                                     "--label-fraction", "0.01", "--lambda", "0.5"],
+            "seeds-negative": ["--seeds=-1"],
+            "seeds-repeated": ["--seeds", "1,1"],
+            "alpha-inf": ["--alpha", "inf"],
+            "eval-seed-negative": ["--seed", "-1"],
         }
+        # the auxiliary input each aux case reads
+        aux_text = {
+            "pairs-out-of-range": "0\t1\n2\t12\n",
+            "pairs-empty": "# no pairs\n",
+            "partition-non-numeric": "0\tx\n",
+            "labels-none-labeled": "# no labels\n",
+        }
+        if case in aux_text:
+            aux.write_text(aux_text[case])
         if case == "unknown-key":
             config_path = tmp_path / "run.json"
             config_path.write_text(json.dumps({"epoch": 1}))
