@@ -1,8 +1,9 @@
 """Command-line interface: train / eval / generate / scaling.
 
-Every train flag can also come from a JSON config file (--config), keyed by
-its dest name; explicit flags win over the file, which wins over the
-RunConfig defaults. A key that names no flag is an error.
+Each flag's dest names a parameter of its command's ``pipeline`` function,
+which holds the defaults. Every train flag can also come from a JSON config
+file (--config), keyed by its dest name; explicit flags win over the file,
+which wins over the RunConfig defaults. A key that names no flag is an error.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
-from .pipeline import FEATURE_NOISE_STD, RunConfig, cmd_eval, cmd_generate, cmd_scaling, cmd_train
+from .pipeline import RunConfig, RunArtifacts, cmd_eval, cmd_generate, cmd_scaling, cmd_train
 
 # train flags whose RunConfig field has another name; every other flag
 # (and JSON key) is named after its field
@@ -33,16 +35,15 @@ def _parse_int_list(value) -> list[int]:
 _COERCE = {"int": int, "float": float, "list[int]": _parse_int_list}
 
 
-def _train_config(args: argparse.Namespace) -> RunConfig:
+def _train_config(flags: dict) -> RunConfig:
     """RunConfig from the given flags, else the --config JSON values, else
     the RunConfig defaults."""
-    given = vars(args)
-    path = given.pop("config", None)
+    path = flags.pop("config", None)
     values = {}
     if path:
         with open(path) as fh:
             values = json.load(fh)
-    values.update(given)
+    values.update(flags)
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     fields = {}
     for key, value in values.items():
@@ -89,11 +90,14 @@ def _add_train_parser(sub) -> None:
     p.add_argument("--f1-sample", dest="f1_sample", type=int, help="F1 node sample size")
 
 
-def _run_train(args: argparse.Namespace) -> int:
-    config = _train_config(args)
-    artifacts = cmd_train(config)
-    ok = [r for r in artifacts.results if r.report is not None]
-    print(f"run {config.run_id}: {len(ok)}/{len(config.seeds)} seeds finished")
+def _train(**flags) -> tuple[RunConfig, RunArtifacts]:
+    config = _train_config(flags)
+    return config, cmd_train(config)
+
+
+def _print_train(result: tuple[RunConfig, RunArtifacts], flags: dict) -> int:
+    config, artifacts = result
+    print(f"run {config.run_id}: {len(artifacts.results)}/{len(config.seeds)} seeds finished")
     for name, label in (("q", "Q"), ("conductance", "C"), ("nmi", "NMI"), ("f1", "F1")):
         if artifacts.mean.get(name) is not None:
             print(
@@ -103,11 +107,10 @@ def _run_train(args: argparse.Namespace) -> int:
     if artifacts.mean.get("k_found") is not None:
         print(f"  clusters found (mean): {artifacts.mean['k_found']:.1f}")
     print(f"  artifacts in {artifacts.out_dir}")
-    return 0 if len(ok) == len(config.seeds) else 1
+    return 1 if artifacts.failures else 0
 
 
-def _run_eval(args: argparse.Namespace) -> int:
-    report = cmd_eval(**vars(args))
+def _print_eval(report, flags: dict) -> int:
     print(f"k_found: {report.k_found}")
     print(f"Q: {100 * report.q:.1f}")
     print(f"C: {100 * report.conductance:.1f}")
@@ -117,29 +120,14 @@ def _run_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_generate(args: argparse.Namespace) -> int:
-    result = cmd_generate(
-        _parse_int_list(args.blocks),
-        args.p_in,
-        args.p_out,
-        args.seed,
-        args.out,
-        noise_std=args.noise,
-    )
+def _print_generate(result: dict, flags: dict) -> int:
     g = result["graph"]
     print(f"generated SBM: n={g.n}, m={g.m}, blocks={result['partition'].k}")
-    print(f"  files in {args.out}")
+    print(f"  files in {flags['out_dir']}")
     return 0
 
 
-def _run_scaling(args: argparse.Namespace) -> int:
-    rows = cmd_scaling(
-        _parse_int_list(args.sizes),
-        args.out,
-        seed=args.seed,
-        hidden_dims=args.dims,
-        epochs_timed=args.epochs,
-    )
+def _print_scaling(rows, flags: dict) -> int:
     for n, _, sec in rows:
         print(f"n={n}: {sec:.4f} s/epoch")
     base = rows[0][2]
@@ -172,37 +160,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="seed for F1 sampling")
 
     p = sub.add_parser("generate", help="write a synthetic SBM dataset")
-    p.add_argument("--blocks", required=True, help="comma-separated block sizes")
+    p.add_argument(
+        "--blocks", dest="block_sizes", type=_parse_int_list, required=True,
+        help="comma-separated block sizes",
+    )
     p.add_argument("--p-in", dest="p_in", type=float, required=True)
     p.add_argument("--p-out", dest="p_out", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=FEATURE_NOISE_STD, help="feature noise stddev")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", dest="out_dir", required=True, help="output directory")
 
-    p = sub.add_parser("scaling", help="time per-epoch cost at increasing graph sizes")
-    p.add_argument("--sizes", required=True, help="comma-separated ascending node counts")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", type=_parse_int_list, help="hidden sizes (train's default)")
-    p.add_argument("--epochs", type=int, default=3, help="timed epochs per size")
+    p = sub.add_parser(
+        "scaling",
+        help="time per-epoch cost at increasing graph sizes",
+        argument_default=argparse.SUPPRESS,
+    )
+    p.add_argument(
+        "--sizes", type=_parse_int_list, required=True,
+        help="comma-separated ascending node counts",
+    )
+    p.add_argument("--out", dest="out_csv", required=True, help="output CSV path")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--dims", dest="hidden_dims", type=_parse_int_list, help="hidden sizes")
+    p.add_argument("--epochs", dest="epochs_timed", type=int, help="timed epochs per size")
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; bad input or a missing file prints one line and returns 2."""
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "train": _run_train,
-        "eval": _run_eval,
-        "generate": _run_generate,
-        "scaling": _run_scaling,
-    }
-    command = vars(args).pop("command")
+    """Run one command. Bad input or a missing file prints one line and returns 2;
+    each warning prints as one line, ``modcluster <command>: warning: <message>``."""
+    flags = vars(build_parser().parse_args(argv))
+    command = flags.pop("command")
+    # the command's function, called with its flags, and its result's printer
+    run, show = {
+        "train": (_train, _print_train),
+        "eval": (cmd_eval, _print_eval),
+        "generate": (cmd_generate, _print_generate),
+        "scaling": (cmd_scaling, _print_scaling),
+    }[command]
+
+    def one_line(message, category, filename, lineno, line=None):
+        return f"modcluster {command}: warning: {message}\n"
+
+    formatwarning, warnings.formatwarning = warnings.formatwarning, one_line
     try:
-        return handlers[command](args)
+        return show(run(**flags), flags)
     except (OSError, ValueError) as exc:
         print(f"modcluster {command}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

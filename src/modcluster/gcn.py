@@ -167,21 +167,19 @@ def selu(x, out=None):
     return out
 
 
-def _selu_grad(out: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    """SELU' from SELU's output (out + SCALE * ALPHA where out < 0, else
-    SCALE); when ``g`` is given, multiplied into ``g`` in place."""
-    d = np.empty_like(out) if g is None else g
+def _selu_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Multiply SELU' into ``g`` in place and return ``g``. SELU' is read off
+    SELU's output: out + SCALE * ALPHA where out < 0, else SCALE."""
 
     def kernel(lo, hi):
         o = out[lo:hi]
-        db = np.add(o, SELU_SCALE * SELU_ALPHA - SELU_SCALE, out=None if d is g else d[lo:hi])
+        db = o + (SELU_SCALE * SELU_ALPHA - SELU_SCALE)
         db *= o < 0.0
         db += SELU_SCALE
-        if d is g:
-            g[lo:hi] *= db
+        g[lo:hi] *= db
 
     _row_runs(kernel, *out.shape)
-    return d
+    return g
 
 
 @dataclass

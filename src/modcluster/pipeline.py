@@ -119,16 +119,16 @@ class SeedResult:
     seed: int
     model: gcn.GcnModel
     loss_rows: list
-    partition: Partition | None
-    report: MetricsReport | None
-    failure: str | None = None
+    partition: Partition
+    report: MetricsReport
 
 
 @dataclass
 class RunArtifacts:
     out_dir: Path
     metrics_path: Path
-    results: list[SeedResult]
+    results: list[SeedResult]  # the seeds that finished, in run order
+    failures: list[str]  # the lines of failures.log: one per diverged seed
     mean: dict
     std: dict
 
@@ -289,15 +289,14 @@ def _scaled(v) -> str:
 
 
 def write_metrics_csv(
-    path: Path, run_id: str, config: RunConfig, results: list[SeedResult]
+    path: Path, config: RunConfig, results: list[SeedResult]
 ) -> tuple[dict, dict]:
     """Per-seed rows plus mean/std summary rows; returns raw-scale summaries."""
     scores = ("q", "conductance", "nmi", "f1")
     names = scores + ("k_found",)
-    ok = [r for r in results if r.report is not None]
     stacks = {
         name: np.array(
-            [getattr(r.report, name) for r in ok if getattr(r.report, name) is not None],
+            [getattr(r.report, name) for r in results if getattr(r.report, name) is not None],
             dtype=np.float64,
         )
         for name in names
@@ -310,13 +309,13 @@ def write_metrics_csv(
         writer.writerow(
             ["run_id", "seed", "lambda", "alpha", "k_found", "Q", "C", "NMI", "F1"]
         )
-        for r in ok:
+        for r in results:
             cells = [str(r.report.k_found)] + [_scaled(getattr(r.report, m)) for m in scores]
-            writer.writerow([run_id, r.seed, config.lam, config.alpha] + cells)
+            writer.writerow([config.run_id, r.seed, config.lam, config.alpha] + cells)
         for label, summary in (("mean", mean), ("std", std)):
             k = summary["k_found"]
             cells = ["" if k is None else f"{k:.1f}"] + [_scaled(summary[m]) for m in scores]
-            writer.writerow([run_id, label, config.lam, config.alpha] + cells)
+            writer.writerow([config.run_id, label, config.lam, config.alpha] + cells)
     return mean, std
 
 
@@ -336,7 +335,6 @@ def cmd_train(config: RunConfig) -> RunArtifacts:
             res = train_single_seed(g, a_norm, features, config, seed, labels, aux_rows)
         except DivergenceError as exc:
             failures.append(f"seed {seed}: {exc}")
-            results.append(SeedResult(seed, None, [], None, None, failure=str(exc)))
             continue
         _write_loss_csv(out / f"loss_seed{seed}.csv", res.loss_rows)
         write_partition(out / f"partition_seed{seed}.tsv", res.partition)
@@ -347,8 +345,8 @@ def cmd_train(config: RunConfig) -> RunArtifacts:
         warnings.warn(f"{len(failures)} seed(s) diverged; see failures.log")
 
     metrics_path = out / "metrics.csv"
-    mean, std = write_metrics_csv(metrics_path, config.run_id, config, results)
-    return RunArtifacts(out, metrics_path, results, mean, std)
+    mean, std = write_metrics_csv(metrics_path, config, results)
+    return RunArtifacts(out, metrics_path, results, failures, mean, std)
 
 
 def cmd_eval(
@@ -372,28 +370,21 @@ def cmd_eval(
 
 
 def sbm_dataset(
-    block_sizes: list[int], p_in: float, p_out: float, seed: int, noise_std: float = FEATURE_NOISE_STD
+    block_sizes: list[int], p_in: float, p_out: float, seed: int
 ) -> tuple[Graph, Partition, np.ndarray]:
     """An SBM graph, its planted partition, and features made of one-hot
-    block membership plus Gaussian noise."""
+    block membership plus Gaussian noise of stddev FEATURE_NOISE_STD."""
     g, planted = generate_sbm(block_sizes, p_in, p_out, derive_seed(seed, "sbm"))
     rng = np.random.default_rng(derive_seed(seed, "features"))
     onehot = np.zeros((g.n, planted.k))
     onehot[np.arange(g.n), planted.assignment] = 1.0
-    return g, planted, onehot + rng.normal(0.0, noise_std, size=onehot.shape)
+    return g, planted, onehot + rng.normal(0.0, FEATURE_NOISE_STD, size=onehot.shape)
 
 
-def cmd_generate(
-    block_sizes: list[int],
-    p_in: float,
-    p_out: float,
-    seed: int,
-    out_dir,
-    noise_std: float = FEATURE_NOISE_STD,
-) -> dict:
+def cmd_generate(block_sizes: list[int], p_in: float, p_out: float, seed: int, out_dir) -> dict:
     """Write an SBM dataset (see sbm_dataset): edges.tsv, features.tsv, and
     labels.tsv holding the planted blocks."""
-    g, planted, features = sbm_dataset(block_sizes, p_in, p_out, seed, noise_std)
+    g, planted, features = sbm_dataset(block_sizes, p_in, p_out, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -407,14 +398,13 @@ def cmd_generate(
     return {"graph": g, "partition": planted, "paths": paths}
 
 
-def scaling_sbm_params(n: int, blocks: int = 4, within_degree: float = 10.0, cross_degree: float = 2.0):
-    """Equal blocks with edge probabilities tuned for a fixed average degree."""
-    size = n // blocks
-    sizes = [size] * blocks
-    sizes[-1] += n - size * blocks
-    p_in = min(1.0, within_degree / max(size - 1, 1))
-    p_out = min(1.0, cross_degree / max(n - size, 1)) if blocks > 1 else 0.0
-    return sizes, p_in, p_out
+def scaling_sbm_params(n: int) -> tuple[list[int], float, float]:
+    """Four equal blocks (the last takes the remainder) with edge probabilities
+    for an average degree of 10 within a node's block and 2 across."""
+    size = n // 4
+    p_in = min(1.0, 10.0 / max(size - 1, 1))
+    p_out = min(1.0, 2.0 / max(n - size, 1))
+    return [size] * 3 + [n - 3 * size], p_in, p_out
 
 
 def cmd_scaling(
@@ -426,13 +416,18 @@ def cmd_scaling(
 ) -> list[tuple[int, int, float]]:
     """Per-epoch wall time of loss+gradient evaluation at increasing n.
 
-    Each size gets an SBM with proportional blocks at fixed average degree;
-    one warmup epoch runs before timing. Writes (n, epochs, seconds_per_epoch).
+    Each size gets an SBM with proportional blocks at fixed average degree and
+    a model of train's hidden sizes unless ``hidden_dims`` is given; one warmup
+    epoch runs before timing. Writes (n, epochs, seconds_per_epoch).
     """
     keep_freed_memory()
-    if sorted(sizes) != list(sizes):
-        raise ValueError("sizes must be ascending")
-    hidden_dims = hidden_dims or RunConfig().hidden_dims
+    if not sizes or sorted(sizes) != list(sizes):
+        raise ValueError(f"sizes must be one or more ascending node counts, got {sizes}")
+    if epochs_timed < 1:
+        raise ValueError("epochs must be >= 1")
+    hidden_dims = RunConfig().hidden_dims if hidden_dims is None else hidden_dims
+    gcn.check_layer_dims([1, *hidden_dims])
+    check_seeds([seed])
     rows = []
     for n in sizes:
         g, _, features = sbm_dataset(*scaling_sbm_params(n), seed)

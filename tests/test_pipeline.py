@@ -1,7 +1,11 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from modcluster.pipeline import (
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("sbm")
-    result = cmd_generate([20, 20], 0.5, 0.05, seed=7, out_dir=out, noise_std=1.0)
+    result = cmd_generate([20, 20], 0.5, 0.05, seed=7, out_dir=out)
     return out, result
 
 
@@ -278,7 +282,9 @@ class TestCmdTrain:
         with pytest.warns(UserWarning, match="diverged"):
             artifacts = cmd_train(small_config(out, tmp_path / "run"))
         log = (artifacts.out_dir / "failures.log").read_text()
-        assert "seed 0" in log
+        assert log == "seed 0: non-finite loss at epoch 3\n"
+        assert artifacts.failures == ["seed 0: non-finite loss at epoch 3"]
+        assert [r.seed for r in artifacts.results] == [1]
         assert not (artifacts.out_dir / "partition_seed0.tsv").exists()
         assert (artifacts.out_dir / "partition_seed1.tsv").exists()
         with open(artifacts.metrics_path) as fh:
@@ -466,6 +472,9 @@ class TestCli:
             ("seeds-repeated", r"distinct non-negative integers, got \[1, 1\]"),
             ("alpha-inf", r"lambda and alpha must be nonnegative finite numbers"),
             ("eval-seed-negative", r"distinct non-negative integers, got \[-1\]"),
+            ("scaling-epochs-0", r"epochs must be >= 1"),
+            ("scaling-epochs-negative", r"epochs must be >= 1"),
+            ("scaling-sizes-empty", r"sizes must be one or more ascending node counts, got \[\]"),
         ],
         ids=[
             "unknown-key", "comment-only-edges", "missing-file", "birch-threshold-0",
@@ -474,6 +483,7 @@ class TestCli:
             "eval-f1-sample-0", "edge-beyond-int64", "pairs-out-of-range", "pairs-empty",
             "partition-non-numeric", "labels-none-labeled", "label-fraction-empty",
             "seeds-negative", "seeds-repeated", "alpha-inf", "eval-seed-negative",
+            "scaling-epochs-0", "scaling-epochs-negative", "scaling-sizes-empty",
         ],
     )
     def test_bad_input_prints_one_line_and_exits_2(self, tmp_path, capsys, case, message):
@@ -508,6 +518,9 @@ class TestCli:
             "seeds-repeated": ["--seeds", "1,1"],
             "alpha-inf": ["--alpha", "inf"],
             "eval-seed-negative": ["--seed", "-1"],
+            "scaling-epochs-0": ["--epochs", "0"],
+            "scaling-epochs-negative": ["--epochs=-1"],
+            "scaling-sizes-empty": ["--sizes", ","],
         }
         # the auxiliary input each aux case reads
         aux_text = {
@@ -534,6 +547,10 @@ class TestCli:
             argv = ["eval", "--checkpoint", str(tmp_path / "missing.tsv"),
                     "--edges", str(data / "edges.tsv"),
                     "--features", str(data / "features.tsv")] + bad_flags[case]
+        elif case.startswith("scaling-"):
+            # the option is checked before any graph is built or timed
+            argv = ["scaling", "--sizes", "40", "--dims", "4",
+                    "--out", str(tmp_path / "run")] + bad_flags[case]
         else:
             argv += bad_flags[case]
         assert main(argv) == 2
@@ -542,6 +559,30 @@ class TestCli:
         assert err.count("\n") == 1
         assert re.search(message, err)
         assert not (tmp_path / "run").exists()
+
+    def test_warning_prints_one_line(self, tmp_path, capsys):
+        # node 1 of this graph has no edge; train warns about it on stderr
+        data = tmp_path / "data"
+        main([
+            "generate", "--blocks", "6,6", "--p-in", "0.5", "--p-out", "0.1",
+            "--seed", "1", "--out", str(data),
+        ])
+        src = str(Path(mc.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "modcluster.cli", "train",
+             "--edges", str(data / "edges.tsv"), "--features", str(data / "features.tsv"),
+             "--dims", "8,4", "--epochs", "5", "--seeds", "0", "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert all(line.startswith("modcluster train: warning: ") for line in lines), lines
+        assert [line for line in lines if "isolated" in line] == [
+            "modcluster train: warning: 1 isolated node(s): their normalized-adjacency rows"
+            " are all zero"
+        ]
 
     def test_json_config_accepts_list_dims(self, tmp_path, capsys):
         data = tmp_path / "data"
