@@ -29,7 +29,12 @@ FLAG_FIELDS = {
 
 def _parse_int_list(value) -> list[int]:
     parts = value if isinstance(value, list) else str(value).split(",")
-    return [int(p) for p in parts if p != ""]
+    try:
+        return [int(p) for p in parts if p != ""]
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {value!r}"
+        ) from None
 
 
 _COERCE = {"int": int, "float": float, "list[int]": _parse_int_list}
@@ -136,8 +141,23 @@ def _print_scaling(rows, flags: dict) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and its subcommands' parsers) that prints a parse
+    error as one line, ``modcluster <command>: <message>``, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # an unknown flag is named by the parser of the command it was given to
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modcluster",
         description="Modularity-maximizing GCN clustering with BIRCH extraction",
     )
@@ -204,7 +224,7 @@ def main(argv=None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, one_line
     try:
         return show(run(**flags), flags)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"modcluster {command}: {exc}", file=sys.stderr)
         return 2
     finally:

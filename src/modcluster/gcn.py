@@ -31,7 +31,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -431,19 +430,19 @@ def load_checkpoint(path) -> GcnModel:
         header = fh.readline().rstrip("\n")
     if header != CHECKPOINT_HEADER:
         raise ValueError(f"{path}: unrecognized checkpoint header {header!r}")
-    records = read_records(path)
-    lineno, fields = next(records, (0, []))
+    lineno, fields = next(read_records(path), (0, []))
     if fields[:1] != ["dims"]:
         raise ValueError(f"{path}: missing dims line")
     dims = parse_rows(path, dtype=np.int64, records=[(lineno, fields[1:])])[0][0].tolist()
     check_layer_dims(dims, f"{path}:{lineno}: ")
     weights = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w, linenos = parse_rows(path, fan_out, records=islice(records, fan_in))
+        w, linenos = parse_rows(path, fan_out, skiprows=lineno, max_rows=fan_in)
         if len(w) < fan_in:
             raise ValueError(f"{path}: truncated checkpoint")
         reject_rows(path, linenos, ~np.isfinite(w).all(axis=1), "non-finite weight")
         weights.append(w)
-    for lineno, _ in records:
+        lineno = linenos[-1]
+    for lineno, _ in read_records(path, lineno):
         raise ValueError(f"{path}:{lineno}: row after the last layer")
     return GcnModel(dims, weights)

@@ -1,8 +1,9 @@
 """Immutable sparse-adjacency graph, dataset I/O, and synthetic graph generation.
 
 Every input, checkpoints included, is text in one grammar: whitespace-separated
-fields, ``#`` comments and blank lines. ``parse_rows`` reads every data row, and
-a rejected row names its ``file:line``.
+fields, ``#`` comments and blank lines. ``parse_rows`` reads every data row,
+with numpy's C reader, and re-reads a file it refuses line by line, so that a
+rejected row names its ``file:line``.
 
 * ``edges.tsv``    -- one ``u v`` pair per line, 0-based ids.
 * ``features.tsv`` -- dense rows, or a ``sparse n r`` header followed by
@@ -16,7 +17,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,55 +115,70 @@ class Partition:
         return np.bincount(self.assignment, minlength=self.k)
 
 
-def read_records(path) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, fields)`` for each line with text outside its ``#`` comment."""
+def read_records(path, skiprows: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, fields)`` for each line after line ``skiprows`` with text
+    outside its ``#`` comment."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(islice(fh, skiprows, None), start=skiprows + 1):
             fields = line.partition("#")[0].split()
             if fields:
                 yield lineno, fields
 
 
-def parse_rows(path, width=None, dtype=np.float64, records=None, convert=None):
-    """The records of ``path`` (or the given ``(lineno, fields)`` iterator) as a
-    ``dtype`` array, one row each, and their line numbers. Each must have
-    ``width`` fields (the first record's count when None). A row is
-    ``convert(fields)``, by default ``np.array(fields, dtype)`` (slower on short
-    rows); a field that does not convert is named ``path:line: non-numeric field``.
+@dataclass(frozen=True)
+class _LineNumbers:
+    """The line numbers of the records after line ``skiprows`` of ``path``; the
+    k-th is found by walking ``read_records`` when asked for."""
+
+    path: object
+    skiprows: int
+
+    def __getitem__(self, k: int) -> int:
+        return next(islice(read_records(self.path, self.skiprows), k, None))[0]
+
+
+def parse_rows(path, width=None, dtype=np.float64, records=None, skiprows=0, max_rows=None):
+    """The records of ``path`` after line ``skiprows`` (at most ``max_rows``), or
+    the given ``(lineno, fields)`` records, as a ``dtype`` array, one row each,
+    and their line numbers. Each has ``width`` fields (the first's count if None).
+
+    A file goes through numpy's C reader, which is stricter than the parser
+    below (no ``1_0``, non-ASCII digit or fractional int). A file it refuses is
+    parsed record by record, so that a rejected row names its ``path:line``.
     """
-    convert = convert or partial(np.array, dtype=dtype)
-    chunks, rows, linenos = [], [], []
-    for lineno, fields in read_records(path) if records is None else records:
+    if records is None:
+        try:
+            with warnings.catch_warnings():
+                # numpy warns at each line without data before max_rows: a refusal too
+                warnings.simplefilter("error")
+                rows = np.loadtxt(
+                    path, dtype, comments="#", skiprows=skiprows, max_rows=max_rows,
+                    ndmin=1 if np.dtype(dtype).names else 2,
+                )
+        except (ValueError, OverflowError, Warning):
+            pass
+        else:
+            # the fields per row: a structured row's, or a 2-d row's length
+            if len(rows) and width in (None, len(rows.dtype.names or rows[0])):
+                if max_rows:  # numpy refused any line without data: the rows are consecutive
+                    return rows, range(skiprows + 1, skiprows + 1 + len(rows))
+                return rows, _LineNumbers(path, skiprows)
+        records = islice(read_records(path, skiprows), max_rows)
+    rows, linenos = [], []
+    for lineno, fields in records:
         if width is None:
             width = len(fields)
         elif len(fields) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
         try:
-            rows.append(convert(fields))
+            rows.append(np.array(tuple(fields), dtype))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric field") from None
         except OverflowError:
             raise ValueError(f"{path}:{lineno}: integer out of range") from None
         linenos.append(lineno)
-        if len(rows) == 256:  # below gc's 700-allocation threshold: no GC pass scans rows
-            chunks.append(_stack(path, rows, linenos, dtype))
-            rows = []
-    chunks.append(_stack(path, rows, linenos, dtype).reshape(len(rows), width or 0))
-    return np.concatenate(chunks), linenos
-
-
-def _stack(path, rows: list, linenos: list, dtype) -> np.ndarray:
-    """``rows`` (the last of ``linenos``) as one array; a Python int that
-    ``dtype`` cannot hold is named ``path:line: integer out of range``."""
-    try:
-        return np.array(rows, dtype)
-    except OverflowError:
-        for row, lineno in zip(rows, linenos[len(linenos) - len(rows) :]):
-            try:
-                np.array(row, dtype)
-            except OverflowError:
-                raise ValueError(f"{path}:{lineno}: integer out of range") from None
-        raise
+    rows = np.array(rows, dtype)
+    return (rows if rows.dtype.names else rows.reshape(len(linenos), width or 0)), linenos
 
 
 def reject_rows(path, linenos, bad: np.ndarray, message: str) -> None:
@@ -171,12 +187,8 @@ def reject_rows(path, linenos, bad: np.ndarray, message: str) -> None:
         raise ValueError(f"{path}:{linenos[int(np.argmax(bad))]}: {message}")
 
 
-def _int_pair(fields) -> tuple[int, int]:
-    return int(fields[0]), int(fields[1])
-
-
-def _sparse_cell(fields) -> tuple[int, int, float]:
-    return int(fields[0]), int(fields[1]), float(fields[2])
+# one ``i j value`` row of a sparse feature file
+SPARSE_CELL = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
@@ -186,7 +198,7 @@ def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
     are dropped. When ``num_nodes`` is omitted it is inferred as max id + 1.
     A file without edges is rejected: modularity needs m > 0.
     """
-    pairs, linenos = parse_rows(edge_path, 2, np.int64, convert=_int_pair)
+    pairs, linenos = parse_rows(edge_path, 2, np.int64)
     if len(pairs) == 0:
         raise ValueError(f"{edge_path}: empty edge file")
     if num_nodes is None:
@@ -207,8 +219,7 @@ def load_features(
     the sparse header. Dense rows load as an ndarray; a sparse file loads as
     scipy CSR with ``sparse=True`` and is densified otherwise.
     """
-    records = read_records(path)
-    lineno, fields = next(records, (0, [""]))
+    lineno, fields = next(read_records(path), (0, [""]))
     if fields[0].startswith("sparse"):
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: sparse header must be 'sparse n r'")
@@ -216,16 +227,16 @@ def load_features(
         if n is not None and n_file != n:
             raise ValueError(f"{path}: sparse header n={n_file}, expected {n}")
         n = n_file
-        cells, linenos = parse_rows(path, 3, records=records, convert=_sparse_cell)
-        i, j = cells[:, 0].astype(np.int64), cells[:, 1].astype(np.int64)
+        cells, linenos = parse_rows(path, 3, SPARSE_CELL, skiprows=lineno)
+        i, j = cells["i"], cells["j"]
         reject_rows(path, linenos, (i < 0) | (i >= n) | (j < 0) | (j >= r), "index out of range")
         # a repeated cell keeps its last row: the first one counted from the end
         keys = (i * r + j)[::-1]
         keep = len(keys) - 1 - np.unique(keys, return_index=True)[1]
         bad = np.zeros(len(cells), dtype=bool)
-        bad[keep] = ~np.isfinite(cells[keep, 2])
+        bad[keep] = ~np.isfinite(cells["v"][keep])
         reject_rows(path, linenos, bad, "non-finite feature value")
-        data = sp.csr_matrix((cells[keep, 2], (i[keep], j[keep])), shape=(n, r))
+        data = sp.csr_matrix((cells["v"][keep], (i[keep], j[keep])), shape=(n, r))
         return data if sparse else data.toarray()
     data, linenos = parse_rows(path)
     if n is not None and len(data) != n:
@@ -238,7 +249,7 @@ def load_features(
 
 def load_labels(path, n: int) -> np.ndarray:
     """Load per-node integer labels; missing nodes get the UNLABELED sentinel."""
-    pairs, linenos = parse_rows(path, 2, np.int64, convert=_int_pair)
+    pairs, linenos = parse_rows(path, 2, np.int64)
     nodes, labs = pairs.T
     reject_rows(path, linenos, (nodes < 0) | (nodes >= n), "node id out of range")
     reject_rows(path, linenos, labs < 0, "negative label id")
@@ -252,7 +263,7 @@ def load_labels(path, n: int) -> np.ndarray:
 
 def load_pairs(path, n: int) -> np.ndarray:
     """Load same-cluster node pairs, one ``u v`` pair per line."""
-    pairs, linenos = parse_rows(path, 2, np.int64, convert=_int_pair)
+    pairs, linenos = parse_rows(path, 2, np.int64)
     reject_rows(path, linenos, ((pairs < 0) | (pairs >= n)).any(axis=1), "node id out of range")
     reject_rows(path, linenos, pairs[:, 0] == pairs[:, 1], "pair references a node with itself")
     return pairs

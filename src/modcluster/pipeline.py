@@ -423,6 +423,8 @@ def cmd_scaling(
     keep_freed_memory()
     if not sizes or sorted(sizes) != list(sizes):
         raise ValueError(f"sizes must be one or more ascending node counts, got {sizes}")
+    if sizes[0] < 4:
+        raise ValueError(f"sizes must be at least 4 nodes, one per block, got n={sizes[0]}")
     if epochs_timed < 1:
         raise ValueError("epochs must be >= 1")
     hidden_dims = RunConfig().hidden_dims if hidden_dims is None else hidden_dims

@@ -1,10 +1,12 @@
 import re
+import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import modcluster as mc
@@ -312,6 +314,8 @@ def test_non_numeric_field_names_line(tmp_path, loader, text, line):
         (mc.load_graph, "0 1\n" * 300 + "1 2\n-99999999999999999999 1\n", 302, "integer out of range"),
         (labels3, "0 0\n1 99999999999999999999\n", 2, "integer out of range"),
         (mc.load_features, "sparse 99999999999999999999 2\n", 1, "integer out of range"),
+        (mc.load_features, "sparse 2 2\n0 1 1\n-99999999999999999999 0 1\n", 3,
+         "integer out of range"),
         (mc.load_checkpoint, HEADER + "dims\t2 99999999999999999999\n", 2, "integer out of range"),
     ],
     ids=[
@@ -323,6 +327,7 @@ def test_non_numeric_field_names_line(tmp_path, loader, text, line):
         "checkpoint-width", "checkpoint-non-finite", "checkpoint-trailing",
         "checkpoint-negative-dims", "checkpoint-zero-dims", "checkpoint-one-dim",
         "edge-int64", "edge-int64-second-chunk", "label-int64", "sparse-header-int64",
+        "sparse-index-int64",
         "checkpoint-dims-int64",
     ],
 )
@@ -350,3 +355,191 @@ def test_partition_validate_rejects_gaps(ids, message):
     part = mc.Partition(np.array(ids), k=3)
     with pytest.raises(ValueError, match=message):
         part.validate()
+
+
+# ---- numpy's C reader and the line parser read the same arrays ----
+
+INT_JUNK = ["x", "1.5", "1e3", "1_0", "+1", "٣", "99999999999999999999", "-1", "0x1"]
+FLOAT_JUNK = ["x", "nan", "-inf", "1_0.5", "٣.5", "+.5", "1e400", "0x1p3", "-0"]
+FLOATS = st.floats(-1e6, 1e6, allow_subnormal=True).flatmap(
+    lambda x: st.sampled_from([repr(x), f"{x:.17g}", f"{x:.3f}", f"{x:e}"])
+)
+
+
+def record_lines(draw, rows):
+    """``rows`` of field strings as lines with tabs or spaces, trailing
+    comments, and blank or comment-only lines in between."""
+    lines = []
+    for fields in rows:
+        while draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# note", "\t# 1 2"])))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(lead + sep.join(fields) + draw(st.sampled_from(["", " ", "\t# c"])))
+    return lines
+
+
+def fields_of(draw, width, ints=None):
+    """``width`` float fields (ints in ``ints`` when given); now and then one is
+    junk, missing or extra."""
+    junk, cell = (FLOAT_JUNK, FLOATS) if ints is None else (INT_JUNK, ints.map(str))
+    fields = [draw(cell) for _ in range(width)]
+    fault = draw(st.integers(0, 40))
+    if fault == 0:
+        fields[draw(st.integers(0, width - 1))] = draw(st.sampled_from(junk))
+    return fields[:-1] if fault == 1 else fields + ["0"] if fault == 2 else fields
+
+
+@st.composite
+def input_file(draw):
+    """A loader and the text of a file for it, every format in the grammar."""
+    loader = draw(st.sampled_from(
+        ["edges", "labels", "pairs", "partition", "dense", "sparse", "checkpoint"]
+    ))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    head = []
+    count = st.integers(0, 8)
+    if loader == "dense":
+        width = draw(st.integers(1, 4))
+        rows = [fields_of(draw, width) for _ in range(draw(count))]
+    elif loader == "sparse":
+        head = [f"sparse 4 {draw(st.integers(1, 4))}"]
+        rows = [fields_of(draw, 2, st.integers(0, 3)) + fields_of(draw, 1)
+                for _ in range(draw(count))]
+    elif loader == "checkpoint":
+        dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+        head = ["#gcn-checkpoint v1", "dims\t" + " ".join(map(str, dims))]
+        rows = [fields_of(draw, fan_out)
+                for fan_in, fan_out in zip(dims[:-1], dims[1:]) for _ in range(fan_in)]
+        rows = rows[: len(rows) - (draw(st.integers(0, 20)) == 0)]
+    elif loader == "partition":
+        rows = [[str(node)] + fields_of(draw, 1, st.integers(0, 2))
+                for node in draw(st.permutations(range(3)))]
+    else:
+        rows = [fields_of(draw, 2, st.integers(0, 9)) for _ in range(draw(count))]
+    text = eol.join(head + record_lines(draw, rows))
+    return loader, text + eol * draw(st.integers(0, 2))
+
+
+LOADERS = {
+    "edges": mc.load_graph,
+    "labels": partial(mc.load_labels, n=10),
+    "pairs": partial(mc.load_pairs, n=10),
+    "partition": partial(mc.load_partition, n=3),
+    "dense": mc.load_features,
+    "sparse": partial(mc.load_features, sparse=True),
+    "checkpoint": mc.load_checkpoint,
+}
+
+
+def outcome(load, path):
+    """What ``load(path)`` gives, as bytes: each array's dtype, shape and bits,
+    or the message it raised."""
+    try:
+        value = load(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    parts = {
+        mc.Graph: lambda g: [g.adj.indptr, g.adj.indices, g.adj.data],
+        mc.Partition: lambda p: [p.assignment, np.array(p.k)],
+        mc.GcnModel: lambda m: [np.array(m.layer_dims), *m.weights],
+        sp.csr_matrix: lambda a: [a.indptr, a.indices, a.data, np.array(a.shape)],
+    }.get(type(value), lambda a: [a])(value)
+    return "ok", [(a.dtype.str, a.shape, a.tobytes()) for a in parts]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=input_file())
+def test_c_reader_reads_what_the_line_parser_reads(tmp_path, case):
+    loader, text = case
+    path = tmp_path / "input.tsv"
+    path.write_bytes(text.encode())
+    fast = outcome(LOADERS[loader], path)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):  # the line parser only
+        assert outcome(LOADERS[loader], path) == fast
+
+
+@pytest.mark.parametrize(
+    "loader, dtype, text, expected",
+    [
+        (partial(mc.load_pairs, n=11), np.int64, "0 1_0\n+1 2\n٣ 0\n", [[0, 10], [1, 2], [3, 0]]),
+        (labels3, np.int64, "0 +1\n٢ 1_0\n", [1, -1, 10]),
+        (mc.load_features, np.float64, "1_0.5 2\n٣ +.5\n", [[10.5, 2.0], [3.0, 0.5]]),
+        (mc.load_features, mc.graph.SPARSE_CELL, "sparse 2 2\n0 1 1_0\n+1 ١ 2\n",
+         [[0.0, 10.0], [0.0, 2.0]]),
+    ],
+    ids=["pairs", "labels", "dense", "sparse"],
+)
+def test_line_parser_reads_what_the_c_reader_refuses(tmp_path, loader, dtype, text, expected):
+    """``1_0``, ``+1`` and non-ASCII digits load as they always have; numpy
+    refuses the ``1_0`` and the digits, so the line parser reads them."""
+    path = write(tmp_path, "input.tsv", text)
+    with pytest.raises(ValueError, match="could not convert"):
+        np.loadtxt(path, dtype, skiprows=int(text.startswith("sparse")))
+    loaded = loader(path)
+    if isinstance(loaded, mc.Partition):
+        loaded = loaded.assignment
+    assert np.array_equal(loaded, np.array(expected, dtype=np.asarray(loaded).dtype))
+
+
+@pytest.mark.parametrize(
+    "loader, text, message",
+    [
+        (mc.load_graph, "", "empty edge file"),
+        (mc.load_graph, "# none\n\n", "empty edge file"),
+        (mc.load_features, "", "no feature rows"),
+        (mc.load_features, "  \n# none\n", "no feature rows"),
+        (pairs3, "# none\n", None),
+        (partial(mc.load_features, sparse=True), "sparse 2 2\n# none\n", None),
+        (mc.load_checkpoint, CHECKPOINT, "truncated checkpoint"),
+        (mc.load_checkpoint, CHECKPOINT + "0.5\n# one row short\n", "truncated checkpoint"),
+    ],
+    ids=["edges", "edges-comments", "dense", "dense-comments", "pairs", "sparse",
+         "checkpoint", "checkpoint-short"],
+)
+def test_file_without_rows_keeps_its_message_and_warns_nothing(tmp_path, loader, text, message):
+    path = write(tmp_path, "input.tsv", text)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        if message is None:
+            assert np.asarray(loader(path).sum()) == 0
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"input.tsv: {message}")):
+                loader(path)
+    assert [str(w.message) for w in seen] == []
+
+
+def test_generated_inputs_are_read_without_walking_lines(tmp_path, monkeypatch):
+    """No loader walks a well-formed file line by line: ``read_records`` gives at
+    most one record per call (``load_features``' look at its first line)."""
+    mc.cmd_generate([30, 30], 0.3, 0.05, 2, tmp_path)
+    sparse_path = write(tmp_path, "sparse.tsv", "sparse 60 3\n0 1 0.5\n59 2 -1\n0 1 2\n")
+    read_records = mc.graph.read_records
+
+    def one_record(path, skiprows=0):
+        records = read_records(path, skiprows)
+        yield next(records)
+        raise AssertionError(f"{path} was read line by line")
+
+    monkeypatch.setattr(mc.graph, "read_records", one_record)
+    g = mc.load_graph(tmp_path / "edges.tsv")
+    assert mc.load_features(tmp_path / "features.tsv").shape == (g.n, 2)
+    assert mc.load_labels(tmp_path / "labels.tsv", g.n).max() == 1
+    cells = mc.load_features(sparse_path, sparse=True)
+    assert cells[0, 1] == 2.0 and cells[59, 2] == -1.0 and cells.nnz == 2
+
+
+def test_checkpoint_rows_after_gaps_keep_their_lines(tmp_path):
+    model = mc.init_model([3, 4, 2], seed=1)
+    clean = tmp_path / "clean.tsv"
+    mc.save_checkpoint(clean, model)
+    lines = clean.read_text().splitlines(keepends=True)
+    # a comment inside layer 0 and a blank line starting layer 1 move every later row down
+    gapped = lines[:3] + ["# note\n"] + lines[3:5] + ["\n"] + lines[5:]
+    path = write(tmp_path, "input.tsv", "".join(gapped))
+    assert outcome(mc.load_checkpoint, path) == outcome(mc.load_checkpoint, clean)
+    gapped[-2] = "nan nan\n"
+    path.write_text("".join(gapped))
+    with pytest.raises(ValueError, match=f"input.tsv:{len(gapped) - 1}: non-finite weight"):
+        mc.load_checkpoint(path)

@@ -475,6 +475,8 @@ class TestCli:
             ("scaling-epochs-0", r"epochs must be >= 1"),
             ("scaling-epochs-negative", r"epochs must be >= 1"),
             ("scaling-sizes-empty", r"sizes must be one or more ascending node counts, got \[\]"),
+            ("scaling-sizes-3", r"sizes must be at least 4 nodes, one per block, got n=3$"),
+            ("scaling-sizes-0", r"sizes must be at least 4 nodes, one per block, got n=0$"),
         ],
         ids=[
             "unknown-key", "comment-only-edges", "missing-file", "birch-threshold-0",
@@ -484,6 +486,7 @@ class TestCli:
             "partition-non-numeric", "labels-none-labeled", "label-fraction-empty",
             "seeds-negative", "seeds-repeated", "alpha-inf", "eval-seed-negative",
             "scaling-epochs-0", "scaling-epochs-negative", "scaling-sizes-empty",
+            "scaling-sizes-3", "scaling-sizes-0",
         ],
     )
     def test_bad_input_prints_one_line_and_exits_2(self, tmp_path, capsys, case, message):
@@ -521,6 +524,8 @@ class TestCli:
             "scaling-epochs-0": ["--epochs", "0"],
             "scaling-epochs-negative": ["--epochs=-1"],
             "scaling-sizes-empty": ["--sizes", ","],
+            "scaling-sizes-3": ["--sizes", "3"],
+            "scaling-sizes-0": ["--sizes", "0,40"],
         }
         # the auxiliary input each aux case reads
         aux_text = {
@@ -559,6 +564,38 @@ class TestCli:
         assert err.count("\n") == 1
         assert re.search(message, err)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--epochs", "x"],
+             "modcluster train: argument --epochs: invalid int value: 'x'"),
+            (["train", "--bogus", "1"], "modcluster train: unrecognized arguments: --bogus 1"),
+            (["generate", "--blocks", "5,x", "--p-in", "0.5", "--p-out", "0.1", "--out", "d"],
+             "modcluster generate: argument --blocks: expected comma-separated integers,"
+             " got '5,x'"),
+            (["scaling", "--sizes", "40", "--out", "s.csv", "--dims", "8,1.5"],
+             "modcluster scaling: argument --dims: expected comma-separated integers,"
+             " got '8,1.5'"),
+            (["eval", "--checkpoint"],
+             "modcluster eval: argument --checkpoint: expected one argument"),
+            ([], "modcluster: the following arguments are required: command"),
+        ],
+        ids=["int", "unknown-flag", "int-list", "int-list-float", "missing-value", "no-command"],
+    )
+    def test_parse_error_prints_one_line_and_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_bad_config_list_prints_one_line(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"dims": "8,x"}))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            "modcluster train: expected comma-separated integers, got '8,x'\n"
+        )
 
     def test_warning_prints_one_line(self, tmp_path, capsys):
         # node 1 of this graph has no edge; train warns about it on stderr
