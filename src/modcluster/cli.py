@@ -2,14 +2,14 @@
 
 Each flag's dest names a parameter of its command's ``pipeline`` function,
 which holds the defaults. Every train flag can also come from a JSON config
-file (--config), keyed by its dest name; explicit flags win over the file,
-which wins over the RunConfig defaults. A key that names no flag is an error.
+file (--config), keyed by its dest name, as the text its flag would take
+(null keeps the default); explicit flags win over the file, which wins over
+the RunConfig defaults. A key that names no flag is an error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import warnings
@@ -27,39 +27,42 @@ FLAG_FIELDS = {
 }
 
 
-def _parse_int_list(value) -> list[int]:
-    parts = value if isinstance(value, list) else str(value).split(",")
+def _parse_int_list(value: str) -> list[int]:
     try:
-        return [int(p) for p in parts if p != ""]
-    except (TypeError, ValueError):
+        return [int(p) for p in value.split(",") if p != ""]
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {value!r}"
         ) from None
-
-
-_COERCE = {"int": int, "float": float, "list[int]": _parse_int_list}
 
 
 def _train_config(flags: dict) -> RunConfig:
     """RunConfig from the given flags, else the --config JSON values, else
     the RunConfig defaults."""
     path = flags.pop("config", None)
-    values = {}
+    config = {}
     if path:
         with open(path) as fh:
-            values = json.load(fh)
-    values.update(flags)
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    fields = {}
-    for key, value in values.items():
-        name = FLAG_FIELDS.get(key, key)
-        if name not in types or key in FLAG_FIELDS.values():
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{path}: expected a JSON object of train options")
+    actions = {a.dest: a for a in _add_train_parser(_Parser().add_subparsers())._actions}
+    values = {}
+    for key, value in config.items():
+        if key not in actions or key in ("help", "config"):
             raise ValueError(f"{path}: unknown config key {key!r}")
-        fields[name] = _COERCE.get(types[name], lambda v: v)(value)
-    return RunConfig(**fields)
+        # the text its flag would take: a list joined by commas, JSON text for a non-string
+        items = value if isinstance(value, list) else [value]
+        text = ",".join(v if isinstance(v, str) else json.dumps(v) for v in items)
+        try:
+            if value is not None:  # null keeps the default
+                values[key] = (actions[key].type or str)(text)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
+    return RunConfig(**{FLAG_FIELDS.get(k, k): v for k, v in {**values, **flags}.items()})
 
 
-def _add_train_parser(sub) -> None:
+def _add_train_parser(sub) -> argparse.ArgumentParser:
     p = sub.add_parser(
         "train",
         help="train models and cluster the embeddings",
@@ -75,7 +78,7 @@ def _add_train_parser(sub) -> None:
     p.add_argument("--alpha", type=float, help="collapse regularizer weight")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument("--dims", help="hidden layer sizes after the input dim, e.g. 256,128,64")
+    p.add_argument("--dims", type=_parse_int_list, help="hidden layer sizes after the input dim")
     p.add_argument(
         "--aux-mode",
         dest="aux_mode",
@@ -89,10 +92,11 @@ def _add_train_parser(sub) -> None:
     )
     p.add_argument("--birch-threshold", dest="birch_threshold", type=float)
     p.add_argument("--branching", type=int, help="BIRCH branching factor")
-    p.add_argument("--seeds", help="comma-separated run seeds")
+    p.add_argument("--seeds", type=_parse_int_list, help="comma-separated run seeds")
     p.add_argument("--out", help="output directory")
     p.add_argument("--run-id", dest="run_id")
     p.add_argument("--f1-sample", dest="f1_sample", type=int, help="F1 node sample size")
+    return p
 
 
 def _train(**flags) -> tuple[RunConfig, RunArtifacts]:
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--p-in", dest="p_in", type=float, required=True)
     p.add_argument("--p-out", dest="p_out", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", dest="out_dir", required=True, help="output directory")
 
     p = sub.add_parser(

@@ -31,12 +31,13 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import parse_rows, read_records, reject_rows
+from .graph import parse_records, parse_rows, read_records, reject_rows
 
 # full-precision self-normalizing constants; rounded values break convergence
 SELU_SCALE = 1.0507009873554804
@@ -433,16 +434,16 @@ def load_checkpoint(path) -> GcnModel:
     lineno, fields = next(read_records(path), (0, []))
     if fields[:1] != ["dims"]:
         raise ValueError(f"{path}: missing dims line")
-    dims = parse_rows(path, dtype=np.int64, records=[(lineno, fields[1:])])[0][0].tolist()
+    dims = parse_records(path, [(lineno, fields[1:])], None, np.int64)[0].tolist()
     check_layer_dims(dims, f"{path}:{lineno}: ")
     weights = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w, linenos = parse_rows(path, fan_out, skiprows=lineno, max_rows=fan_in)
+        w = parse_rows(path, fan_out, skiprows=lineno, max_rows=fan_in)
         if len(w) < fan_in:
             raise ValueError(f"{path}: truncated checkpoint")
-        reject_rows(path, linenos, ~np.isfinite(w).all(axis=1), "non-finite weight")
+        reject_rows(path, ~np.isfinite(w).all(axis=1), "non-finite weight", lineno)
         weights.append(w)
-        lineno = linenos[-1]
+        lineno = next(islice(read_records(path, lineno), fan_in - 1, None))[0]  # its last row
     for lineno, _ in read_records(path, lineno):
         raise ValueError(f"{path}:{lineno}: row after the last layer")
     return GcnModel(dims, weights)

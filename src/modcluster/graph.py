@@ -1,9 +1,9 @@
 """Immutable sparse-adjacency graph, dataset I/O, and synthetic graph generation.
 
 Every input, checkpoints included, is text in one grammar: whitespace-separated
-fields, ``#`` comments and blank lines. ``parse_rows`` reads every data row,
-with numpy's C reader, and re-reads a file it refuses line by line, so that a
-rejected row names its ``file:line``.
+fields, ``#`` comments and blank lines. ``parse_rows`` reads every data row
+with numpy's C reader, and re-reads a file it refuses line by line. A row
+rejected there or by ``reject_rows`` names its ``file:line``.
 
 * ``edges.tsv``    -- one ``u v`` pair per line, 0-based ids.
 * ``features.tsv`` -- dense rows, or a ``sparse n r`` header followed by
@@ -125,46 +125,33 @@ def read_records(path, skiprows: int = 0) -> Iterator[tuple[int, list[str]]]:
                 yield lineno, fields
 
 
-@dataclass(frozen=True)
-class _LineNumbers:
-    """The line numbers of the records after line ``skiprows`` of ``path``; the
-    k-th is found by walking ``read_records`` when asked for."""
+def parse_rows(path, width=None, dtype=np.float64, skiprows=0, max_rows=None) -> np.ndarray:
+    """The records of ``path`` after line ``skiprows`` (at most ``max_rows``) as a
+    ``dtype`` array, one row each, of ``width`` fields (the first's count if None).
 
-    path: object
-    skiprows: int
-
-    def __getitem__(self, k: int) -> int:
-        return next(islice(read_records(self.path, self.skiprows), k, None))[0]
-
-
-def parse_rows(path, width=None, dtype=np.float64, records=None, skiprows=0, max_rows=None):
-    """The records of ``path`` after line ``skiprows`` (at most ``max_rows``), or
-    the given ``(lineno, fields)`` records, as a ``dtype`` array, one row each,
-    and their line numbers. Each has ``width`` fields (the first's count if None).
-
-    A file goes through numpy's C reader, which is stricter than the parser
-    below (no ``1_0``, non-ASCII digit or fractional int). A file it refuses is
-    parsed record by record, so that a rejected row names its ``path:line``.
+    numpy's C reader reads the file. It is stricter (no ``1_0``, non-ASCII digit
+    or fractional int) than ``parse_records``, which reads a file it refuses.
     """
-    if records is None:
-        try:
-            with warnings.catch_warnings():
-                # numpy warns at each line without data before max_rows: a refusal too
-                warnings.simplefilter("error")
-                rows = np.loadtxt(
-                    path, dtype, comments="#", skiprows=skiprows, max_rows=max_rows,
-                    ndmin=1 if np.dtype(dtype).names else 2,
-                )
-        except (ValueError, OverflowError, Warning):
-            pass
-        else:
-            # the fields per row: a structured row's, or a 2-d row's length
-            if len(rows) and width in (None, len(rows.dtype.names or rows[0])):
-                if max_rows:  # numpy refused any line without data: the rows are consecutive
-                    return rows, range(skiprows + 1, skiprows + 1 + len(rows))
-                return rows, _LineNumbers(path, skiprows)
-        records = islice(read_records(path, skiprows), max_rows)
-    rows, linenos = [], []
+    try:
+        with warnings.catch_warnings():
+            # numpy warns at each line without data before max_rows: a refusal too
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                path, dtype, comments="#", skiprows=skiprows, max_rows=max_rows,
+                ndmin=1 if np.dtype(dtype).names else 2,
+            )
+        # the fields per row: a structured row's, or a 2-d row's length
+        if len(rows) and width in (None, len(rows.dtype.names or rows[0])):
+            return rows
+    except (ValueError, OverflowError, Warning):
+        pass
+    return parse_records(path, islice(read_records(path, skiprows), max_rows), width, dtype)
+
+
+def parse_records(path, records, width, dtype) -> np.ndarray:
+    """The ``(lineno, fields)`` records as a ``dtype`` array, one row each, of
+    ``width`` fields (the first's count if None); a bad record raises ``path:line``."""
+    rows = []
     for lineno, fields in records:
         if width is None:
             width = len(fields)
@@ -176,15 +163,15 @@ def parse_rows(path, width=None, dtype=np.float64, records=None, skiprows=0, max
             raise ValueError(f"{path}:{lineno}: non-numeric field") from None
         except OverflowError:
             raise ValueError(f"{path}:{lineno}: integer out of range") from None
-        linenos.append(lineno)
     rows = np.array(rows, dtype)
-    return (rows if rows.dtype.names else rows.reshape(len(linenos), width or 0)), linenos
+    return rows if rows.dtype.names else rows.reshape(len(rows), width or 0)
 
 
-def reject_rows(path, linenos, bad: np.ndarray, message: str) -> None:
-    """Raise ``path:line: message`` for the first row flagged in ``bad``."""
+def reject_rows(path, bad: np.ndarray, message: str, skiprows: int = 0) -> None:
+    """Raise ``path:line: message`` at the first row flagged in ``bad`` after line ``skiprows``."""
     if bad.any():
-        raise ValueError(f"{path}:{linenos[int(np.argmax(bad))]}: {message}")
+        lineno = next(islice(read_records(path, skiprows), int(np.argmax(bad)), None))[0]
+        raise ValueError(f"{path}:{lineno}: {message}")
 
 
 # one ``i j value`` row of a sparse feature file
@@ -198,13 +185,13 @@ def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
     are dropped. When ``num_nodes`` is omitted it is inferred as max id + 1.
     A file without edges is rejected: modularity needs m > 0.
     """
-    pairs, linenos = parse_rows(edge_path, 2, np.int64)
+    pairs = parse_rows(edge_path, 2, np.int64)
     if len(pairs) == 0:
         raise ValueError(f"{edge_path}: empty edge file")
     if num_nodes is None:
         num_nodes = int(pairs.max()) + 1
     bad = ((pairs < 0) | (pairs >= num_nodes)).any(axis=1)
-    reject_rows(edge_path, linenos, bad, f"node id outside [0, num_nodes={num_nodes})")
+    reject_rows(edge_path, bad, f"node id outside [0, num_nodes={num_nodes})")
     return from_edges(pairs, num_nodes)
 
 
@@ -223,39 +210,39 @@ def load_features(
     if fields[0].startswith("sparse"):
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: sparse header must be 'sparse n r'")
-        n_file, r = parse_rows(path, 2, np.int64, records=[(lineno, fields[1:])])[0][0].tolist()
+        n_file, r = parse_records(path, [(lineno, fields[1:])], 2, np.int64)[0].tolist()
         if n is not None and n_file != n:
             raise ValueError(f"{path}: sparse header n={n_file}, expected {n}")
         n = n_file
-        cells, linenos = parse_rows(path, 3, SPARSE_CELL, skiprows=lineno)
+        cells = parse_rows(path, 3, SPARSE_CELL, skiprows=lineno)
         i, j = cells["i"], cells["j"]
-        reject_rows(path, linenos, (i < 0) | (i >= n) | (j < 0) | (j >= r), "index out of range")
+        reject_rows(path, (i < 0) | (i >= n) | (j < 0) | (j >= r), "index out of range", lineno)
         # a repeated cell keeps its last row: the first one counted from the end
         keys = (i * r + j)[::-1]
         keep = len(keys) - 1 - np.unique(keys, return_index=True)[1]
         bad = np.zeros(len(cells), dtype=bool)
         bad[keep] = ~np.isfinite(cells["v"][keep])
-        reject_rows(path, linenos, bad, "non-finite feature value")
+        reject_rows(path, bad, "non-finite feature value", lineno)
         data = sp.csr_matrix((cells["v"][keep], (i[keep], j[keep])), shape=(n, r))
         return data if sparse else data.toarray()
-    data, linenos = parse_rows(path)
+    data = parse_rows(path)
     if n is not None and len(data) != n:
         raise ValueError(f"{path}: {len(data)} feature rows, expected {n}")
     if not len(data):
         raise ValueError(f"{path}: no feature rows")
-    reject_rows(path, linenos, ~np.isfinite(data).all(axis=1), "non-finite feature value")
+    reject_rows(path, ~np.isfinite(data).all(axis=1), "non-finite feature value")
     return data
 
 
 def load_labels(path, n: int) -> np.ndarray:
     """Load per-node integer labels; missing nodes get the UNLABELED sentinel."""
-    pairs, linenos = parse_rows(path, 2, np.int64)
+    pairs = parse_rows(path, 2, np.int64)
     nodes, labs = pairs.T
-    reject_rows(path, linenos, (nodes < 0) | (nodes >= n), "node id out of range")
-    reject_rows(path, linenos, labs < 0, "negative label id")
+    reject_rows(path, (nodes < 0) | (nodes >= n), "node id out of range")
+    reject_rows(path, labs < 0, "negative label id")
     repeated = np.ones(len(nodes), dtype=bool)
     repeated[np.unique(nodes, return_index=True)[1]] = False
-    reject_rows(path, linenos, repeated, "duplicate node id")
+    reject_rows(path, repeated, "duplicate node id")
     labels = np.full(n, UNLABELED, dtype=np.int64)
     labels[nodes] = labs
     return labels
@@ -263,9 +250,9 @@ def load_labels(path, n: int) -> np.ndarray:
 
 def load_pairs(path, n: int) -> np.ndarray:
     """Load same-cluster node pairs, one ``u v`` pair per line."""
-    pairs, linenos = parse_rows(path, 2, np.int64)
-    reject_rows(path, linenos, ((pairs < 0) | (pairs >= n)).any(axis=1), "node id out of range")
-    reject_rows(path, linenos, pairs[:, 0] == pairs[:, 1], "pair references a node with itself")
+    pairs = parse_rows(path, 2, np.int64)
+    reject_rows(path, ((pairs < 0) | (pairs >= n)).any(axis=1), "node id out of range")
+    reject_rows(path, pairs[:, 0] == pairs[:, 1], "pair references a node with itself")
     return pairs
 
 

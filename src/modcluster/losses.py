@@ -163,15 +163,15 @@ def total_loss(
     l1, grad = modularity_loss(x, g)
     lam = aux.lam if aux is not None else 0.0
     alpha = aux.alpha if aux is not None else 0.0
-    l2 = 0.0
+    l2 = reg = 0.0
     if aux is not None and aux.variant == "labels":
         l2, g2 = aux_loss_labels(x, aux.subset, aux.onehot)
         grad += lam * g2
     elif aux is not None and aux.variant == "pairs":
         l2, g2 = aux_loss_pairs(x, aux.pairs)
         grad += lam * g2
-    reg, g3 = collapse_regularizer(x, alpha)
     if alpha != 0.0:
+        reg, g3 = collapse_regularizer(x, alpha)
         grad += g3
     report = LossReport(
         l1=l1,

@@ -13,6 +13,8 @@ import numpy as np
 
 from .graph import UNLABELED, Graph, Partition
 
+F1_SAMPLE_SIZE = 1000  # labeled nodes in pairwise F1's sample
+
 
 @dataclass
 class MetricsReport:
@@ -102,7 +104,7 @@ def check_sample_size(sample_size: int) -> None:
 
 
 def pairwise_f1(
-    p: Partition, labels: np.ndarray, sample_size: int = 1000, seed: int = 0
+    p: Partition, labels: np.ndarray, sample_size: int = F1_SAMPLE_SIZE, seed: int = 0
 ) -> float:
     """F1 over node pairs in a seeded sample of labeled nodes.
 
@@ -137,7 +139,7 @@ def evaluate(
     g: Graph,
     p: Partition,
     labels: np.ndarray | None = None,
-    sample_size: int = 1000,
+    sample_size: int = F1_SAMPLE_SIZE,
     f1_seed: int = 0,
 ) -> MetricsReport:
     """All applicable metrics for one partition; NMI/F1 need labels."""

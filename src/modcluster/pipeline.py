@@ -49,7 +49,7 @@ from .graph import (
     write_partition,
 )
 from .losses import AuxiliaryInfo, LossReport, onehot_from_labels, total_loss
-from .metrics import MetricsReport, check_sample_size, evaluate
+from .metrics import F1_SAMPLE_SIZE, MetricsReport, check_sample_size, evaluate
 
 _ROLES = {"init": 0, "sbm": 1, "f1": 2, "aux": 3, "features": 4}
 
@@ -84,12 +84,12 @@ class RunConfig:
     alpha: float = 0.0
     aux_mode: str = "none"  # none | labels | pairs | external-partition
     label_fraction: float = 1.0
-    birch_threshold: float = 0.5
-    branching_factor: int = 50
+    birch_threshold: float = BirchParams.threshold
+    branching_factor: int = BirchParams.branching_factor
     seeds: list[int] = field(default_factory=lambda: list(range(10)))
     out_dir: str = "runs/latest"
     run_id: str = "run"
-    f1_sample_size: int = 1000
+    f1_sample_size: int = F1_SAMPLE_SIZE
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -105,6 +105,9 @@ class RunConfig:
         flag = _AUX_FILES.get(self.aux_mode)
         if flag and not getattr(self, flag):
             raise ValueError(f"aux_mode {self.aux_mode} requires --{flag}")
+        for mode, unread in _AUX_FILES.items():  # --labels is also scored against
+            if unread != "labels" and getattr(self, unread) and mode != self.aux_mode:
+                raise ValueError(f"--{unread} is only read by aux_mode {mode}")
         check_seeds(self.seeds)
         # the input size comes from the features file; 1 stands in for it
         gcn.check_layer_dims([1, *self.hidden_dims])
@@ -381,7 +384,9 @@ def sbm_dataset(
     return g, planted, onehot + rng.normal(0.0, FEATURE_NOISE_STD, size=onehot.shape)
 
 
-def cmd_generate(block_sizes: list[int], p_in: float, p_out: float, seed: int, out_dir) -> dict:
+def cmd_generate(
+    block_sizes: list[int], p_in: float, p_out: float, seed: int = 0, out_dir="data/sbm"
+) -> dict:
     """Write an SBM dataset (see sbm_dataset): edges.tsv, features.tsv, and
     labels.tsv holding the planted blocks."""
     g, planted, features = sbm_dataset(block_sizes, p_in, p_out, seed)

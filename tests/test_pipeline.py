@@ -477,6 +477,17 @@ class TestCli:
             ("scaling-sizes-empty", r"sizes must be one or more ascending node counts, got \[\]"),
             ("scaling-sizes-3", r"sizes must be at least 4 nodes, one per block, got n=3$"),
             ("scaling-sizes-0", r"sizes must be at least 4 nodes, one per block, got n=0$"),
+            ("config-float-dims", r"run\.json: dims: expected comma-separated integers,"
+                                  r" got '8\.9,4'"),
+            ("config-float-epochs", r"run\.json: epochs: .*'2\.7'"),
+            ("config-float-seeds", r"run\.json: seeds: expected comma-separated integers,"
+                                   r" got '0\.5'"),
+            ("config-bool-epochs", r"run\.json: epochs: .*'true'"),
+            ("config-number-edges", r"train: 5 not found\.$"),
+            ("config-null-epochs", r"branching_factor must be at least 2"),
+            ("config-list", r"run\.json: expected a JSON object of train options$"),
+            ("pairs-unread", r"--pairs is only read by aux_mode pairs$"),
+            ("partition-unread", r"--partition is only read by aux_mode external-partition$"),
         ],
         ids=[
             "unknown-key", "comment-only-edges", "missing-file", "birch-threshold-0",
@@ -486,7 +497,9 @@ class TestCli:
             "partition-non-numeric", "labels-none-labeled", "label-fraction-empty",
             "seeds-negative", "seeds-repeated", "alpha-inf", "eval-seed-negative",
             "scaling-epochs-0", "scaling-epochs-negative", "scaling-sizes-empty",
-            "scaling-sizes-3", "scaling-sizes-0",
+            "scaling-sizes-3", "scaling-sizes-0", "config-float-dims", "config-float-epochs",
+            "config-float-seeds", "config-bool-epochs", "config-number-edges",
+            "config-null-epochs", "config-list", "pairs-unread", "partition-unread",
         ],
     )
     def test_bad_input_prints_one_line_and_exits_2(self, tmp_path, capsys, case, message):
@@ -526,6 +539,20 @@ class TestCli:
             "scaling-sizes-empty": ["--sizes", ","],
             "scaling-sizes-3": ["--sizes", "3"],
             "scaling-sizes-0": ["--sizes", "0,40"],
+            "pairs-unread": ["--pairs", str(tmp_path / "missing.tsv")],
+            "partition-unread": ["--aux-mode", "pairs", "--pairs", str(aux), "--lambda", "0.5",
+                                 "--partition", str(aux)],
+        }
+        # the --config file each config case gives
+        config = {
+            "unknown-key": {"epoch": 1},
+            "config-float-dims": {"dims": [8.9, 4]},
+            "config-float-epochs": {"epochs": 2.7},
+            "config-float-seeds": {"seeds": [0.5]},
+            "config-bool-epochs": {"epochs": True},
+            "config-number-edges": {"edges": 5},
+            "config-null-epochs": {"epochs": None, "branching": 1},
+            "config-list": [1],
         }
         # the auxiliary input each aux case reads
         aux_text = {
@@ -536,9 +563,11 @@ class TestCli:
         }
         if case in aux_text:
             aux.write_text(aux_text[case])
-        if case == "unknown-key":
+        if case in config:
             config_path = tmp_path / "run.json"
-            config_path.write_text(json.dumps({"epoch": 1}))
+            config_path.write_text(json.dumps(config[case]))
+            if case == "config-number-edges":  # the file gives the edges
+                argv = ["train", *argv[3:]]
             argv += ["--config", str(config_path)]
         elif case == "comment-only-edges":
             (data / "edges.tsv").write_text("# no edges\n")
@@ -594,7 +623,8 @@ class TestCli:
         config_path.write_text(json.dumps({"dims": "8,x"}))
         assert main(["train", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == (
-            "modcluster train: expected comma-separated integers, got '8,x'\n"
+            f"modcluster train: {config_path}: dims:"
+            " expected comma-separated integers, got '8,x'\n"
         )
 
     def test_warning_prints_one_line(self, tmp_path, capsys):
@@ -640,6 +670,26 @@ class TestCli:
         assert main(["train", "--config", str(config_path)]) == 0
         model = mc.load_checkpoint(tmp_path / "run" / "checkpoint_seed0.tsv")
         assert model.layer_dims == [2, 8, 4]
+
+    def test_config_file_writes_the_bytes_of_its_flags(self, small_dataset, tmp_path, capsys):
+        """A --config value is read as its flag's text, and null keeps the default."""
+        out, _ = small_dataset
+        inputs = ["--edges", str(out / "edges.tsv"), "--features", str(out / "features.tsv"),
+                  "--labels", str(out / "labels.tsv")]
+        assert main(["train", *inputs, "--dims", "16,8", "--epochs", "15", "--seeds", "0,1",
+                     "--lr", "0.005", "--alpha", "0.1", "--birch-threshold", "0.4",
+                     "--out", str(tmp_path / "flags")]) == 0
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "dims": [16, 8], "epochs": 15, "seeds": "0,1", "lr": 5e-3, "alpha": 0.1,
+            "birch_threshold": 0.4, "aux_mode": None, "out": str(tmp_path / "config"),
+        }))
+        assert main(["train", *inputs, "--config", str(config_path)]) == 0
+        names = sorted(p.name for p in (tmp_path / "flags").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "config").iterdir())
+        for name in names:
+            flags = (tmp_path / "flags" / name).read_bytes()
+            assert (tmp_path / "config" / name).read_bytes() == flags
 
     def test_scaling_subcommand(self, tmp_path, capsys):
         out_csv = tmp_path / "scaling.csv"
