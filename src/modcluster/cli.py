@@ -29,7 +29,7 @@ FLAG_FIELDS = {
 
 def _parse_int_list(value: str) -> list[int]:
     try:
-        return [int(p) for p in value.split(",") if p != ""]
+        return [int(p) for p in value.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {value!r}"
@@ -43,7 +43,10 @@ def _train_config(flags: dict) -> RunConfig:
     config = {}
     if path:
         with open(path) as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         if not isinstance(config, dict):
             raise ValueError(f"{path}: expected a JSON object of train options")
     actions = {a.dest: a for a in _add_train_parser(_Parser().add_subparsers())._actions}

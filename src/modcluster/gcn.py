@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import parse_records, parse_rows, read_records, reject_rows
+from .graph import parse_records, read_records, reject_rows
 
 # full-precision self-normalizing constants; rounded values break convergence
 SELU_SCALE = 1.0507009873554804
@@ -431,19 +431,19 @@ def load_checkpoint(path) -> GcnModel:
         header = fh.readline().rstrip("\n")
     if header != CHECKPOINT_HEADER:
         raise ValueError(f"{path}: unrecognized checkpoint header {header!r}")
-    lineno, fields = next(read_records(path), (0, []))
+    records = read_records(path)
+    dims_line, fields = next(records, (0, []))
     if fields[:1] != ["dims"]:
         raise ValueError(f"{path}: missing dims line")
-    dims = parse_records(path, [(lineno, fields[1:])], None, np.int64)[0].tolist()
-    check_layer_dims(dims, f"{path}:{lineno}: ")
+    dims = parse_records(path, [(dims_line, fields[1:])], None, np.int64)[0].tolist()
+    check_layer_dims(dims, f"{path}:{dims_line}: ")
     weights = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = parse_rows(path, fan_out, skiprows=lineno, max_rows=fan_in)
-        if len(w) < fan_in:
+        weights.append(parse_records(path, islice(records, fan_in), fan_out, np.float64))
+        if len(weights[-1]) < fan_in:
             raise ValueError(f"{path}: truncated checkpoint")
-        reject_rows(path, ~np.isfinite(w).all(axis=1), "non-finite weight", lineno)
-        weights.append(w)
-        lineno = next(islice(read_records(path, lineno), fan_in - 1, None))[0]  # its last row
-    for lineno, _ in read_records(path, lineno):
+    finite = np.concatenate([np.isfinite(w).all(axis=1) for w in weights])
+    reject_rows(path, ~finite, "non-finite weight", dims_line)
+    for lineno, _ in records:
         raise ValueError(f"{path}:{lineno}: row after the last layer")
     return GcnModel(dims, weights)

@@ -1,9 +1,9 @@
 """Immutable sparse-adjacency graph, dataset I/O, and synthetic graph generation.
 
 Every input, checkpoints included, is text in one grammar: whitespace-separated
-fields, ``#`` comments and blank lines. ``parse_rows`` reads every data row
-with numpy's C reader, and re-reads a file it refuses line by line. A row
-rejected there or by ``reject_rows`` names its ``file:line``.
+fields, ``#`` comments and blank lines. ``parse_rows`` reads a data file with
+numpy's C reader and re-reads one it refuses line by line, the way a checkpoint
+is read. A row rejected there or by ``reject_rows`` names its ``file:line``.
 
 * ``edges.tsv``    -- one ``u v`` pair per line, 0-based ids.
 * ``features.tsv`` -- dense rows, or a ``sparse n r`` header followed by
@@ -125,19 +125,20 @@ def read_records(path, skiprows: int = 0) -> Iterator[tuple[int, list[str]]]:
                 yield lineno, fields
 
 
-def parse_rows(path, width=None, dtype=np.float64, skiprows=0, max_rows=None) -> np.ndarray:
-    """The records of ``path`` after line ``skiprows`` (at most ``max_rows``) as a
-    ``dtype`` array, one row each, of ``width`` fields (the first's count if None).
+def parse_rows(path, width=None, dtype=np.float64, skiprows=0) -> np.ndarray:
+    """The records of ``path`` after line ``skiprows`` as a ``dtype`` array, one
+    row each, of ``width`` fields (the first's count if None).
 
     numpy's C reader reads the file. It is stricter (no ``1_0``, non-ASCII digit
     or fractional int) than ``parse_records``, which reads a file it refuses.
     """
+    open(path).close()  # a missing file raises as any open does, not in numpy's words
     try:
         with warnings.catch_warnings():
-            # numpy warns at each line without data before max_rows: a refusal too
-            warnings.simplefilter("error")
+            warnings.simplefilter("error")  # numpy warns at a file without data: a refusal too
+            # given a path, not a handle, numpy reads in blocks rather than line by line
             rows = np.loadtxt(
-                path, dtype, comments="#", skiprows=skiprows, max_rows=max_rows,
+                path, dtype, comments="#", skiprows=skiprows,
                 ndmin=1 if np.dtype(dtype).names else 2,
             )
         # the fields per row: a structured row's, or a 2-d row's length
@@ -145,7 +146,7 @@ def parse_rows(path, width=None, dtype=np.float64, skiprows=0, max_rows=None) ->
             return rows
     except (ValueError, OverflowError, Warning):
         pass
-    return parse_records(path, islice(read_records(path, skiprows), max_rows), width, dtype)
+    return parse_records(path, read_records(path, skiprows), width, dtype)
 
 
 def parse_records(path, records, width, dtype) -> np.ndarray:

@@ -145,8 +145,6 @@ def aux_loss_pairs(x: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]
 
 def collapse_regularizer(x: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
     """alpha * ||mean embedding||^4; penalizes the all-one-cluster solution."""
-    if alpha == 0.0:
-        return 0.0, np.zeros_like(x)
     xbar = x.mean(axis=0)
     sq = float(xbar @ xbar)
     value = alpha * sq * sq

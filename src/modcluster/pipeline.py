@@ -23,9 +23,7 @@ import csv
 import ctypes
 import time
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -198,11 +196,10 @@ def train_single_seed(
     dims = [features.shape[1]] + list(config.hidden_dims)
     model = gcn.init_model(dims, derive_seed(seed, "init"))
     adam = gcn.init_adam(model, config.learning_rate)
-    epochs = islice(train_epochs(model, adam, g, a_norm, features, aux), config.epochs)
-    loss_rows = [
-        (epoch, r.l1, r.l2, r.reg, r.total, r.soft_modularity)
-        for epoch, r in enumerate(epochs, start=1)
-    ]
+    loss_rows = []
+    for epoch in range(1, config.epochs + 1):
+        r = train_epoch(model, adam, g, a_norm, features, aux)
+        loss_rows.append((epoch, r.l1, r.l2, r.reg, r.total, r.soft_modularity))
 
     params = BirchParams(config.birch_threshold, config.branching_factor)
     partition, report = cluster_and_score(
@@ -230,32 +227,28 @@ def keep_freed_memory() -> None:
     mallopt(M_TRIM_THRESHOLD, KEEP_FREED_BYTES)
 
 
-def train_epochs(
+def train_epoch(
     model: gcn.GcnModel,
     adam: gcn.AdamState,
     g: Graph,
     a_norm,
     features: np.ndarray,
     aux: AuxiliaryInfo | None,
-) -> Iterator[LossReport]:
-    """Full-batch epochs of forward -> transform -> loss -> backward -> Adam:
-    each ``next`` runs one and yields its LossReport.
+) -> LossReport:
+    """One full-batch epoch of forward -> transform -> loss -> backward -> Adam.
 
     Raises DivergenceError on a non-finite loss, before the weights change.
-    A generator, so a caller steps it one epoch at a time and stops where it
-    likes (``islice`` for a run, a timed loop in ``cmd_scaling``). Epochs reuse
-    the memory the last one freed, without page faults, under the allocator
-    policy that the commands running the GCN set first (``keep_freed_memory``).
+    Epochs reuse the memory the last one freed, without page faults, under the
+    allocator policy that the commands running the GCN set first (``keep_freed_memory``).
     """
-    while True:
-        tape = gcn.GradientTape()
-        raw = gcn.gcn_forward(model, a_norm, features, tape)
-        x = gcn.transform_embeddings(raw, tape)
-        report, dldx = total_loss(x, g, aux)
-        if not np.isfinite(report.total):
-            raise DivergenceError(f"non-finite loss at epoch {adam.step + 1}")
-        gcn.adam_step(model, gcn.backward(tape, dldx), adam)
-        yield report
+    tape = gcn.GradientTape()
+    raw = gcn.gcn_forward(model, a_norm, features, tape)
+    x = gcn.transform_embeddings(raw, tape)
+    report, dldx = total_loss(x, g, aux)
+    if not np.isfinite(report.total):
+        raise DivergenceError(f"non-finite loss at epoch {adam.step + 1}")
+    gcn.adam_step(model, gcn.backward(tape, dldx), adam)
+    return report
 
 
 def transform_forward(model: gcn.GcnModel, a_norm, features: np.ndarray) -> np.ndarray:
@@ -346,6 +339,8 @@ def cmd_train(config: RunConfig) -> RunArtifacts:
     if failures:
         (out / "failures.log").write_text("\n".join(failures) + "\n")
         warnings.warn(f"{len(failures)} seed(s) diverged; see failures.log")
+    else:  # a clean rerun into the same directory leaves no stale log
+        (out / "failures.log").unlink(missing_ok=True)
 
     metrics_path = out / "metrics.csv"
     mean, std = write_metrics_csv(metrics_path, config, results)
@@ -441,11 +436,10 @@ def cmd_scaling(
         a_norm = normalized_adjacency(g)
         model = gcn.init_model([features.shape[1]] + hidden_dims, derive_seed(seed, "init"))
         adam = gcn.init_adam(model)
-        epochs = train_epochs(model, adam, g, a_norm, features, None)
-        next(epochs)  # warmup
+        train_epoch(model, adam, g, a_norm, features, None)  # warmup
         start = time.perf_counter()
         for _ in range(epochs_timed):
-            next(epochs)
+            train_epoch(model, adam, g, a_norm, features, None)
         per_epoch = (time.perf_counter() - start) / epochs_timed
         rows.append((n, epochs_timed, per_epoch))
 

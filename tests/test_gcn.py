@@ -1,4 +1,5 @@
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -399,6 +400,24 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="truncated"):
             mc.load_checkpoint(path)
+
+    def test_read_in_one_streaming_pass(self, tmp_path, monkeypatch):
+        """Every layer comes from one ``read_records`` pass; numpy's C reader is not used."""
+        model = mc.init_model([5, 4, 3], seed=2)
+        path = tmp_path / "model.tsv"
+        mc.save_checkpoint(path, model)
+        read_records, calls = gcn.read_records, []
+
+        def counted(*args):
+            calls.append(args)
+            return read_records(*args)
+
+        monkeypatch.setattr(gcn, "read_records", counted)
+        loadtxt = mock.Mock(side_effect=ValueError)
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        loaded = mc.load_checkpoint(path)
+        assert calls == [(path,)] and not loadtxt.called
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
 
 
 def force_blocks(monkeypatch, workers, block=6, product=0):

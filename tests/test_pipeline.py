@@ -291,6 +291,23 @@ class TestCmdTrain:
             rows = list(csv.reader(fh))
         assert [r[1] for r in rows[1:]] == ["1", "mean", "std"]
 
+    def test_clean_rerun_removes_stale_failures_log(self, small_dataset, tmp_path, monkeypatch):
+        out, _ = small_dataset
+        config = small_config(out, tmp_path / "run", epochs=5)
+        real = pipeline.train_single_seed
+
+        def flaky(g, a_norm, feats, config, seed, labels=None, aux_rows=None):
+            if seed == 0:
+                raise pipeline.DivergenceError("non-finite loss at epoch 3")
+            return real(g, a_norm, feats, config, seed, labels, aux_rows)
+
+        with monkeypatch.context() as patched, pytest.warns(UserWarning, match="diverged"):
+            patched.setattr(pipeline, "train_single_seed", flaky)
+            assert cmd_train(config).failures
+        assert (tmp_path / "run" / "failures.log").exists()
+        assert cmd_train(config).failures == []
+        assert not (tmp_path / "run" / "failures.log").exists()
+
     def test_nan_weight_ends_only_its_seed(self, small_dataset, tmp_path, monkeypatch):
         import modcluster.gcn as gcn
 
@@ -451,6 +468,7 @@ class TestCli:
             ("unknown-key", r"run\.json: unknown config key 'epoch'"),
             ("comment-only-edges", r"edges\.tsv: empty edge file"),
             ("missing-file", r"No such file or directory: '.*features\.tsv'"),
+            ("missing-edges", r"train: \[Errno 2\] No such file or directory: '.*edges\.tsv'$"),
             ("birch-threshold-0", r"threshold must be positive"),
             ("birch-threshold-nan", r"threshold must be positive"),
             ("branching-1", r"branching_factor must be at least 2"),
@@ -474,7 +492,7 @@ class TestCli:
             ("eval-seed-negative", r"distinct non-negative integers, got \[-1\]"),
             ("scaling-epochs-0", r"epochs must be >= 1"),
             ("scaling-epochs-negative", r"epochs must be >= 1"),
-            ("scaling-sizes-empty", r"sizes must be one or more ascending node counts, got \[\]"),
+            ("scaling-sizes-empty", r"argument --sizes: expected comma-separated integers, got ','$"),
             ("scaling-sizes-3", r"sizes must be at least 4 nodes, one per block, got n=3$"),
             ("scaling-sizes-0", r"sizes must be at least 4 nodes, one per block, got n=0$"),
             ("config-float-dims", r"run\.json: dims: expected comma-separated integers,"
@@ -483,14 +501,16 @@ class TestCli:
             ("config-float-seeds", r"run\.json: seeds: expected comma-separated integers,"
                                    r" got '0\.5'"),
             ("config-bool-epochs", r"run\.json: epochs: .*'true'"),
-            ("config-number-edges", r"train: 5 not found\.$"),
+            ("config-number-edges", r"train: \[Errno 2\] No such file or directory: '5'$"),
+            ("config-not-json", r"train: .*run\.json: Expecting property name .* column 14"),
             ("config-null-epochs", r"branching_factor must be at least 2"),
             ("config-list", r"run\.json: expected a JSON object of train options$"),
             ("pairs-unread", r"--pairs is only read by aux_mode pairs$"),
             ("partition-unread", r"--partition is only read by aux_mode external-partition$"),
         ],
         ids=[
-            "unknown-key", "comment-only-edges", "missing-file", "birch-threshold-0",
+            "unknown-key", "comment-only-edges", "missing-file", "missing-edges",
+            "birch-threshold-0",
             "birch-threshold-nan", "branching-1", "f1-sample-0", "lr-nan", "eval-branching-1",
             "labels-without-file", "pairs-without-file", "partition-without-file", "dims-0",
             "eval-f1-sample-0", "edge-beyond-int64", "pairs-out-of-range", "pairs-empty",
@@ -499,6 +519,7 @@ class TestCli:
             "scaling-epochs-0", "scaling-epochs-negative", "scaling-sizes-empty",
             "scaling-sizes-3", "scaling-sizes-0", "config-float-dims", "config-float-epochs",
             "config-float-seeds", "config-bool-epochs", "config-number-edges",
+            "config-not-json",
             "config-null-epochs", "config-list", "pairs-unread", "partition-unread",
         ],
     )
@@ -551,6 +572,7 @@ class TestCli:
             "config-float-seeds": {"seeds": [0.5]},
             "config-bool-epochs": {"epochs": True},
             "config-number-edges": {"edges": 5},
+            "config-not-json": '{"epochs": 2,}',  # a str is written as it is
             "config-null-epochs": {"epochs": None, "branching": 1},
             "config-list": [1],
         }
@@ -565,7 +587,8 @@ class TestCli:
             aux.write_text(aux_text[case])
         if case in config:
             config_path = tmp_path / "run.json"
-            config_path.write_text(json.dumps(config[case]))
+            body = config[case]
+            config_path.write_text(body if isinstance(body, str) else json.dumps(body))
             if case == "config-number-edges":  # the file gives the edges
                 argv = ["train", *argv[3:]]
             argv += ["--config", str(config_path)]
@@ -573,6 +596,8 @@ class TestCli:
             (data / "edges.tsv").write_text("# no edges\n")
         elif case == "missing-file":
             (data / "features.tsv").unlink()
+        elif case == "missing-edges":
+            (data / "edges.tsv").unlink()
         elif case == "edge-beyond-int64":
             with open(data / "edges.tsv", "a") as fh:
                 fh.write("0 99999999999999999999\n")
@@ -587,7 +612,11 @@ class TestCli:
                     "--out", str(tmp_path / "run")] + bad_flags[case]
         else:
             argv += bad_flags[case]
-        assert main(argv) == 2
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # refused by the parser
+            code = exit_.code
+        assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"modcluster {argv[0]}: ")
         assert err.count("\n") == 1
@@ -606,11 +635,23 @@ class TestCli:
             (["scaling", "--sizes", "40", "--out", "s.csv", "--dims", "8,1.5"],
              "modcluster scaling: argument --dims: expected comma-separated integers,"
              " got '8,1.5'"),
+            (["train", "--dims", "8,,4"],
+             "modcluster train: argument --dims: expected comma-separated integers, got '8,,4'"),
+            (["train", "--seeds", "0,,1"],
+             "modcluster train: argument --seeds: expected comma-separated integers, got '0,,1'"),
+            (["generate", "--blocks", "100,,100"],
+             "modcluster generate: argument --blocks: expected comma-separated integers,"
+             " got '100,,100'"),
+            (["scaling", "--sizes", "1000,"],
+             "modcluster scaling: argument --sizes: expected comma-separated integers,"
+             " got '1000,'"),
             (["eval", "--checkpoint"],
              "modcluster eval: argument --checkpoint: expected one argument"),
             ([], "modcluster: the following arguments are required: command"),
         ],
-        ids=["int", "unknown-flag", "int-list", "int-list-float", "missing-value", "no-command"],
+        ids=["int", "unknown-flag", "int-list", "int-list-float", "dims-empty-item",
+             "seeds-empty-item", "blocks-empty-item", "sizes-trailing-comma", "missing-value",
+             "no-command"],
     )
     def test_parse_error_prints_one_line_and_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_:
