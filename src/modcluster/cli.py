@@ -14,7 +14,9 @@ import json
 import sys
 import warnings
 
-from .pipeline import RunConfig, RunArtifacts, cmd_eval, cmd_generate, cmd_scaling, cmd_train
+from .pipeline import (
+    AUX_FILES, RunArtifacts, RunConfig, cmd_eval, cmd_generate, cmd_scaling, cmd_train,
+)
 
 # train flags whose RunConfig field has another name; every other flag
 # (and JSON key) is named after its field
@@ -82,11 +84,7 @@ def _add_train_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float, help="Adam learning rate")
     p.add_argument("--dims", type=_parse_int_list, help="hidden layer sizes after the input dim")
-    p.add_argument(
-        "--aux-mode",
-        dest="aux_mode",
-        choices=["none", "labels", "pairs", "external-partition"],
-    )
+    p.add_argument("--aux-mode", dest="aux_mode", choices=["none", *AUX_FILES])
     p.add_argument(
         "--label-fraction",
         dest="label_fraction",

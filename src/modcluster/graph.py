@@ -184,7 +184,7 @@ def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
 
     Lines are ``u v`` with 0-based ids. Duplicate directions and self-loops
     are dropped. When ``num_nodes`` is omitted it is inferred as max id + 1.
-    A file without edges is rejected: modularity needs m > 0.
+    A file without edges, or with self-loops only, is rejected: modularity needs m > 0.
     """
     pairs = parse_rows(edge_path, 2, np.int64)
     if len(pairs) == 0:
@@ -193,7 +193,10 @@ def load_graph(edge_path, num_nodes: int | None = None) -> Graph:
         num_nodes = int(pairs.max()) + 1
     bad = ((pairs < 0) | (pairs >= num_nodes)).any(axis=1)
     reject_rows(edge_path, bad, f"node id outside [0, num_nodes={num_nodes})")
-    return from_edges(pairs, num_nodes)
+    g = from_edges(pairs, num_nodes)
+    if g.m == 0:
+        raise ValueError(f"{edge_path}: no edges besides self-loops")
+    return g
 
 
 def load_features(
@@ -212,6 +215,8 @@ def load_features(
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: sparse header must be 'sparse n r'")
         n_file, r = parse_records(path, [(lineno, fields[1:])], 2, np.int64)[0].tolist()
+        if n_file < 1 or r < 1:
+            raise ValueError(f"{path}:{lineno}: sparse header n and r must be at least 1")
         if n is not None and n_file != n:
             raise ValueError(f"{path}: sparse header n={n_file}, expected {n}")
         n = n_file

@@ -24,7 +24,8 @@ class AuxiliaryInfo:
     variant "labels": ``subset`` indexes the supervised nodes and ``onehot``
     holds one label indicator per subset row. variant "pairs": ``pairs`` lists
     same-cluster node pairs. variant "none": carries only the weights (lam is
-    then irrelevant; alpha still controls the collapse regularizer).
+    then irrelevant; alpha still controls the collapse regularizer). The fields
+    are used as given: the pipeline checks its inputs where it reads them.
     """
 
     variant: str = "none"
@@ -33,31 +34,6 @@ class AuxiliaryInfo:
     pairs: np.ndarray | None = None
     lam: float = 0.0
     alpha: float = 0.0
-
-    def validate(self, n: int) -> None:
-        if self.lam < 0 or self.alpha < 0:
-            raise ValueError("lam and alpha must be nonnegative")
-        if self.variant == "labels":
-            if self.subset is None or len(self.subset) == 0:
-                raise ValueError("label auxiliary requires a nonempty node subset")
-            if self.subset.min() < 0 or self.subset.max() >= n:
-                raise ValueError("subset indices out of range")
-            if self.onehot is None or self.onehot.shape[0] != len(self.subset):
-                raise ValueError("one-hot matrix must have one row per subset node")
-            row_sums = self.onehot.sum(axis=1)
-            if not np.all(row_sums == 1) or not np.all(
-                (self.onehot == 0) | (self.onehot == 1)
-            ):
-                raise ValueError("each one-hot row must contain exactly one 1")
-        elif self.variant == "pairs":
-            if self.pairs is None or len(self.pairs) == 0:
-                raise ValueError("pair auxiliary requires a nonempty pair list")
-            if self.pairs.min() < 0 or self.pairs.max() >= n:
-                raise ValueError("pair indices out of range")
-            if np.any(self.pairs[:, 0] == self.pairs[:, 1]):
-                raise ValueError("pairs must reference distinct nodes")
-        elif self.variant != "none":
-            raise ValueError(f"unknown auxiliary variant {self.variant!r}")
 
 
 def onehot_from_labels(labels: np.ndarray, subset: np.ndarray) -> np.ndarray:
@@ -158,24 +134,23 @@ def total_loss(
     x: np.ndarray, g: Graph, aux: AuxiliaryInfo | None = None
 ) -> tuple[LossReport, np.ndarray]:
     """Combined objective l1 + lam*l2 + reg and its gradient with respect to X."""
+    aux = aux or AuxiliaryInfo()
     l1, grad = modularity_loss(x, g)
-    lam = aux.lam if aux is not None else 0.0
-    alpha = aux.alpha if aux is not None else 0.0
     l2 = reg = 0.0
-    if aux is not None and aux.variant == "labels":
+    if aux.variant == "labels":
         l2, g2 = aux_loss_labels(x, aux.subset, aux.onehot)
-        grad += lam * g2
-    elif aux is not None and aux.variant == "pairs":
+        grad += aux.lam * g2
+    elif aux.variant == "pairs":
         l2, g2 = aux_loss_pairs(x, aux.pairs)
-        grad += lam * g2
-    if alpha != 0.0:
-        reg, g3 = collapse_regularizer(x, alpha)
+        grad += aux.lam * g2
+    if aux.alpha != 0.0:
+        reg, g3 = collapse_regularizer(x, aux.alpha)
         grad += g3
     report = LossReport(
         l1=l1,
         l2=l2,
         reg=reg,
-        total=l1 + lam * l2 + reg,
+        total=l1 + aux.lam * l2 + reg,
         soft_modularity=-l1,
     )
     return report, grad

@@ -52,7 +52,7 @@ from .metrics import F1_SAMPLE_SIZE, MetricsReport, check_sample_size, evaluate
 _ROLES = {"init": 0, "sbm": 1, "f1": 2, "aux": 3, "features": 4}
 
 # the file flag each auxiliary mode reads its supervision from
-_AUX_FILES = {"labels": "labels", "pairs": "pairs", "external-partition": "partition"}
+AUX_FILES = {"labels": "labels", "pairs": "pairs", "external-partition": "partition"}
 
 FEATURE_NOISE_STD = 1.0
 
@@ -98,12 +98,14 @@ class RunConfig:
             raise ValueError("lambda and alpha must be nonnegative finite numbers")
         if not 0.0 <= self.label_fraction <= 1.0:
             raise ValueError("label_fraction must lie in [0, 1]")
-        if self.aux_mode not in ("none", *_AUX_FILES):
+        if self.aux_mode not in ("none", *AUX_FILES):
             raise ValueError(f"unknown aux_mode {self.aux_mode!r}")
-        flag = _AUX_FILES.get(self.aux_mode)
+        flag = AUX_FILES.get(self.aux_mode)
         if flag and not getattr(self, flag):
             raise ValueError(f"aux_mode {self.aux_mode} requires --{flag}")
-        for mode, unread in _AUX_FILES.items():  # --labels is also scored against
+        if self.lam and not flag:
+            raise ValueError("--lambda is only read by an aux mode")
+        for mode, unread in AUX_FILES.items():  # --labels is also scored against
             if unread != "labels" and getattr(self, unread) and mode != self.aux_mode:
                 raise ValueError(f"--{unread} is only read by aux_mode {mode}")
         check_seeds(self.seeds)
@@ -157,26 +159,21 @@ def read_aux_rows(config: RunConfig, n: int, labels: np.ndarray | None) -> np.nd
     return source
 
 
-def build_aux(
-    config: RunConfig, n: int, rows: np.ndarray | None, seed: int
-) -> AuxiliaryInfo | None:
+def build_aux(config: RunConfig, rows: np.ndarray | None, seed: int) -> AuxiliaryInfo | None:
     """The seed's auxiliary supervision from the run's aux rows (see read_aux_rows):
     the pairs as they are, or the labelled subset this seed draws."""
     weights = {"lam": config.lam, "alpha": config.alpha}
     if config.aux_mode == "none":
         return AuxiliaryInfo(**weights) if config.alpha else None
     if config.aux_mode == "pairs":
-        aux = AuxiliaryInfo("pairs", pairs=rows, **weights)
-    else:
-        subset = np.flatnonzero(rows != UNLABELED)
-        take = round(config.label_fraction * len(subset))
-        if take < len(subset):
-            rng = np.random.default_rng(derive_seed(seed, "aux"))
-            subset = np.sort(rng.choice(subset, size=take, replace=False))
-        onehot = onehot_from_labels(rows, subset)
-        aux = AuxiliaryInfo("labels", subset=subset, onehot=onehot, **weights)
-    aux.validate(n)
-    return aux
+        return AuxiliaryInfo("pairs", pairs=rows, **weights)
+    subset = np.flatnonzero(rows != UNLABELED)
+    take = round(config.label_fraction * len(subset))
+    if take < len(subset):
+        rng = np.random.default_rng(derive_seed(seed, "aux"))
+        subset = np.sort(rng.choice(subset, size=take, replace=False))
+    onehot = onehot_from_labels(rows, subset)
+    return AuxiliaryInfo("labels", subset=subset, onehot=onehot, **weights)
 
 
 def train_single_seed(
@@ -192,7 +189,7 @@ def train_single_seed(
     ``aux_rows`` is the run's ``read_aux_rows``, read here when not given."""
     if aux_rows is None:
         aux_rows = read_aux_rows(config, g.n, labels)
-    aux = build_aux(config, g.n, aux_rows, seed)
+    aux = build_aux(config, aux_rows, seed)
     dims = [features.shape[1]] + list(config.hidden_dims)
     model = gcn.init_model(dims, derive_seed(seed, "init"))
     adam = gcn.init_adam(model, config.learning_rate)
@@ -327,14 +324,21 @@ def cmd_train(config: RunConfig) -> RunArtifacts:
     results: list[SeedResult] = []
     failures: list[str] = []
     for seed in config.seeds:
+        loss_csv, partition_tsv, checkpoint_tsv = seed_files = (
+            out / f"loss_seed{seed}.csv",
+            out / f"partition_seed{seed}.tsv",
+            out / f"checkpoint_seed{seed}.tsv",
+        )
         try:
             res = train_single_seed(g, a_norm, features, config, seed, labels, aux_rows)
         except DivergenceError as exc:
             failures.append(f"seed {seed}: {exc}")
+            for path in seed_files:  # none left from an earlier run into the same directory
+                path.unlink(missing_ok=True)
             continue
-        _write_loss_csv(out / f"loss_seed{seed}.csv", res.loss_rows)
-        write_partition(out / f"partition_seed{seed}.tsv", res.partition)
-        gcn.save_checkpoint(out / f"checkpoint_seed{seed}.tsv", res.model)
+        _write_loss_csv(loss_csv, res.loss_rows)
+        write_partition(partition_tsv, res.partition)
+        gcn.save_checkpoint(checkpoint_tsv, res.model)
         results.append(res)
     if failures:
         (out / "failures.log").write_text("\n".join(failures) + "\n")

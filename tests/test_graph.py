@@ -296,6 +296,9 @@ def test_non_numeric_field_names_line(tmp_path, loader, text, line):
         (mc.load_features, "sparse 2 2\n0 1 1\n0 2 1\n", 3, "index out of range"),
         (mc.load_features, "sparse 2 2\n0 1 1\n1 1 -inf\n", 3, "non-finite feature value"),
         (mc.load_features, "sparse 2\n", 1, "sparse header must be 'sparse n r'"),
+        (mc.load_features, "sparse 3 0\n", 1, "sparse header n and r must be at least 1"),
+        (mc.load_features, "sparse 3 -2\n", 1, "sparse header n and r must be at least 1"),
+        (mc.load_features, "# n=0\nsparse 0 2\n", 2, "sparse header n and r must be at least 1"),
         (labels3, "0 0 0\n", 1, "expected 2 fields, got 3"),
         (labels3, "0 0\n3 1\n", 2, "node id out of range"),
         (labels3, "0 0\n1 -2\n", 2, "negative label id"),
@@ -322,6 +325,7 @@ def test_non_numeric_field_names_line(tmp_path, loader, text, line):
         "edge-fields", "edge-negative", "edge-range",
         "dense-width", "dense-non-finite",
         "sparse-fields", "sparse-range", "sparse-non-finite", "sparse-header",
+        "sparse-zero-width", "sparse-negative-width", "sparse-zero-rows",
         "label-fields", "label-range", "label-negative", "label-duplicate",
         "partition-duplicate", "pair-fields", "pair-range", "pair-self",
         "checkpoint-width", "checkpoint-non-finite", "checkpoint-trailing",

@@ -249,14 +249,6 @@ class TestTotalLoss:
         fd = fd_embedding_grad(lambda z: mc.total_loss(z, g, aux)[0].total, x.copy())
         assert max_rel_error([grad], [fd]) < 1e-5
 
-    def test_label_and_pair_validation(self):
-        aux = AuxiliaryInfo(variant="labels", subset=None, lam=0.1)
-        with pytest.raises(ValueError):
-            aux.validate(5)
-        aux = AuxiliaryInfo(variant="pairs", pairs=np.array([[0, 0]]), lam=0.1)
-        with pytest.raises(ValueError, match="distinct"):
-            aux.validate(5)
-
 
 @settings(max_examples=30, deadline=None)
 @given(

@@ -79,17 +79,17 @@ class TestBuildAux:
     def test_none_mode(self):
         config = RunConfig(aux_mode="none", alpha=0.0)
         assert read_aux_rows(config, 10, None) is None
-        assert build_aux(config, 10, None, seed=0) is None
+        assert build_aux(config, None, seed=0) is None
 
     def test_none_mode_with_regularizer(self):
         config = RunConfig(aux_mode="none", alpha=0.5)
-        aux = build_aux(config, 10, read_aux_rows(config, 10, None), seed=0)
+        aux = build_aux(config, read_aux_rows(config, 10, None), seed=0)
         assert aux.variant == "none" and aux.alpha == 0.5
 
     def test_labels_mode_fraction(self):
         labels = np.array([0, 0, 1, 1, 0, 1, 0, 1, 0, 1])
         config = RunConfig(aux_mode="labels", label_fraction=0.5, lam=0.2)
-        aux = build_aux(config, 10, read_aux_rows(config, 10, labels), seed=1)
+        aux = build_aux(config, read_aux_rows(config, 10, labels), seed=1)
         assert aux.variant == "labels"
         assert len(aux.subset) == 5
         assert aux.onehot.shape == (5, 2)
@@ -98,9 +98,9 @@ class TestBuildAux:
         labels = np.arange(20) % 3
         config = RunConfig(aux_mode="labels", label_fraction=0.3, lam=0.2)
         rows = read_aux_rows(config, 20, labels)
-        a = build_aux(config, 20, rows, seed=4).subset
-        b = build_aux(config, 20, rows, seed=4).subset
-        c = build_aux(config, 20, rows, seed=5).subset
+        a = build_aux(config, rows, seed=4).subset
+        b = build_aux(config, rows, seed=4).subset
+        c = build_aux(config, rows, seed=5).subset
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -108,7 +108,7 @@ class TestBuildAux:
         path = tmp_path / "pairs.tsv"
         path.write_text("0\t1\n2\t3\n")
         config = RunConfig(aux_mode="pairs", pairs=str(path), lam=0.2)
-        aux = build_aux(config, 5, read_aux_rows(config, 5, None), seed=0)
+        aux = build_aux(config, read_aux_rows(config, 5, None), seed=0)
         assert aux.variant == "pairs"
         assert aux.pairs.shape == (2, 2)
 
@@ -135,7 +135,7 @@ class TestBuildAux:
         config = RunConfig(
             aux_mode="external-partition", partition=str(path), lam=0.2
         )
-        aux = build_aux(config, 6, read_aux_rows(config, 6, None), seed=0)
+        aux = build_aux(config, read_aux_rows(config, 6, None), seed=0)
         assert aux.variant == "labels"
         assert len(aux.subset) == 4
 
@@ -307,6 +307,27 @@ class TestCmdTrain:
         assert (tmp_path / "run" / "failures.log").exists()
         assert cmd_train(config).failures == []
         assert not (tmp_path / "run" / "failures.log").exists()
+
+    def test_diverged_seed_removes_its_files_from_an_earlier_run(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        out, _ = small_dataset
+        config = small_config(out, tmp_path / "run", epochs=5, seeds=[0, 1])
+        assert cmd_train(config).failures == []
+        real = pipeline.train_single_seed
+
+        def flaky(g, a_norm, feats, config, seed, labels=None, aux_rows=None):
+            if seed == 1:
+                raise pipeline.DivergenceError("non-finite loss at epoch 3")
+            return real(g, a_norm, feats, config, seed, labels, aux_rows)
+
+        monkeypatch.setattr(pipeline, "train_single_seed", flaky)
+        with pytest.warns(UserWarning, match="diverged"):
+            assert cmd_train(config).failures == ["seed 1: non-finite loss at epoch 3"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "checkpoint_seed0.tsv", "failures.log", "loss_seed0.csv", "metrics.csv",
+            "partition_seed0.tsv",
+        ]
 
     def test_nan_weight_ends_only_its_seed(self, small_dataset, tmp_path, monkeypatch):
         import modcluster.gcn as gcn
@@ -507,6 +528,8 @@ class TestCli:
             ("config-list", r"run\.json: expected a JSON object of train options$"),
             ("pairs-unread", r"--pairs is only read by aux_mode pairs$"),
             ("partition-unread", r"--partition is only read by aux_mode external-partition$"),
+            ("lambda-unread", r"--lambda is only read by an aux mode$"),
+            ("self-loop-edges", r"edges\.tsv: no edges besides self-loops$"),
         ],
         ids=[
             "unknown-key", "comment-only-edges", "missing-file", "missing-edges",
@@ -521,6 +544,7 @@ class TestCli:
             "config-float-seeds", "config-bool-epochs", "config-number-edges",
             "config-not-json",
             "config-null-epochs", "config-list", "pairs-unread", "partition-unread",
+            "lambda-unread", "self-loop-edges",
         ],
     )
     def test_bad_input_prints_one_line_and_exits_2(self, tmp_path, capsys, case, message):
@@ -563,6 +587,7 @@ class TestCli:
             "pairs-unread": ["--pairs", str(tmp_path / "missing.tsv")],
             "partition-unread": ["--aux-mode", "pairs", "--pairs", str(aux), "--lambda", "0.5",
                                  "--partition", str(aux)],
+            "lambda-unread": ["--lambda", "0.8"],
         }
         # the --config file each config case gives
         config = {
@@ -594,6 +619,8 @@ class TestCli:
             argv += ["--config", str(config_path)]
         elif case == "comment-only-edges":
             (data / "edges.tsv").write_text("# no edges\n")
+        elif case == "self-loop-edges":
+            (data / "edges.tsv").write_text("0 0\n1 1\n")
         elif case == "missing-file":
             (data / "features.tsv").unlink()
         elif case == "missing-edges":
