@@ -220,7 +220,6 @@ class GradientTape:
     # transform-chain intermediates (None until transform_embeddings runs)
     row_sums: np.ndarray | None = None
     divided_mask: np.ndarray | None = None
-    after_div: np.ndarray | None = None
     after_tanh: np.ndarray | None = None
     norms: np.ndarray | None = None
     degenerate_mask: np.ndarray | None = None
@@ -279,14 +278,14 @@ def transform_embeddings(
     n, k = x_raw.shape
     sums, norms = np.empty(n), np.empty(n)
     divided, degenerate = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    y, z, out = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
+    z, out = np.empty((n, k)), np.empty((n, k))
 
     def kernel(lo, hi):
         s = x_raw[lo:hi].sum(axis=1, out=sums[lo:hi])
         div = np.greater(np.abs(s), ROW_SUM_EPS, out=divided[lo:hi])
         # skipped rows divide by 1.0, so no row needs a masked copy
-        yb = np.divide(x_raw[lo:hi], np.where(div, s, 1.0)[:, None], out=y[lo:hi])
-        zb = np.tanh(yb, out=z[lo:hi])
+        zb = np.divide(x_raw[lo:hi], np.where(div, s, 1.0)[:, None], out=z[lo:hi])
+        np.tanh(zb, out=zb)
         q = zb * zb
         nb = norms[lo:hi] = np.linalg.norm(q, axis=1)
         deg = np.less(nb, DEGENERATE_NORM_EPS, out=degenerate[lo:hi])
@@ -308,7 +307,6 @@ def transform_embeddings(
     if tape is not None:
         tape.row_sums = sums
         tape.divided_mask = divided
-        tape.after_div = y
         tape.after_tanh = z
         tape.norms = norms
         tape.degenerate_mask = degenerate
@@ -341,12 +339,12 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
             gq[degenerate] = 0.0
             # square, then tanh
             gy = gq * 2.0 * z * (1.0 - z * z)
-            # row-sum division (identity where it was skipped)
-            rowdots = np.where(divided, np.einsum("ij,ij->i", gy, tape.after_div[lo:hi]), 0.0)
-            np.divide(
-                gy - rowdots[:, None], np.where(divided, tape.row_sums[lo:hi], 1.0)[:, None],
-                out=g[lo:hi],
-            )
+            # row-sum division (identity where it was skipped); y is re-derived from
+            # the last layer's output, which the transform ran on
+            divisor = np.where(divided, tape.row_sums[lo:hi], 1.0)[:, None]
+            y = tape.outputs[-1][lo:hi] / divisor
+            rowdots = np.where(divided, np.einsum("ij,ij->i", gy, y), 0.0)
+            np.divide(gy - rowdots[:, None], divisor, out=g[lo:hi])
 
         _row_runs(kernel, *g.shape)
 

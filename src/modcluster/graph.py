@@ -78,9 +78,7 @@ def from_edges(edges: np.ndarray, num_nodes: int) -> Graph:
     ).tocsr()
     adj.sum_duplicates()
     adj.data[:] = 1.0
-    g = Graph(adj)
-    g.validate()
-    return g
+    return Graph(adj)
 
 
 @dataclass
@@ -343,10 +341,7 @@ def generate_sbm(
                     )
     if not edges:
         raise ValueError("generated graph has no edges (m=0)")
-    g = from_edges(np.concatenate(edges, axis=0), n)
-    part = Partition(planted, k=len(block_sizes))
-    part.validate()
-    return g, part
+    return from_edges(np.concatenate(edges, axis=0), n), Partition(planted, k=len(block_sizes))
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:

@@ -105,6 +105,10 @@ class RunConfig:
             raise ValueError(f"aux_mode {self.aux_mode} requires --{flag}")
         if self.lam and not flag:
             raise ValueError("--lambda is only read by an aux mode")
+        if self.label_fraction != 1.0 and self.aux_mode not in ("labels", "external-partition"):
+            raise ValueError(
+                "--label-fraction is only read by aux_mode labels or external-partition"
+            )
         for mode, unread in AUX_FILES.items():  # --labels is also scored against
             if unread != "labels" and getattr(self, unread) and mode != self.aux_mode:
                 raise ValueError(f"--{unread} is only read by aux_mode {mode}")

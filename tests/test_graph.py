@@ -112,6 +112,11 @@ class TestLoadFeatures:
             with pytest.raises(ValueError, match="non-finite"):
                 mc.load_features(path, 2, sparse=sparse)
 
+    def test_sparse_header_row_count_mismatch(self, tmp_path):
+        path = write(tmp_path, "features.tsv", "sparse 2 2\n0 1 1\n")
+        with pytest.raises(ValueError, match=r"features\.tsv: sparse header n=2, expected 3$"):
+            mc.load_features(path, 3)
+
     def test_row_count_mismatch(self, tmp_path):
         path = write(tmp_path, "features.tsv", "1 1\n1 1\n")
         with pytest.raises(ValueError, match="rows"):
@@ -179,6 +184,7 @@ class TestGenerateSbm:
         _, part = mc.generate_sbm([3, 4, 5], 0.9, 0.1, seed=1)
         assert part.k == 3
         assert part.sizes().tolist() == [3, 4, 5]
+        part.validate()
 
 
 class TestNormalizedAdjacency:
@@ -498,9 +504,10 @@ def test_line_parser_reads_what_the_c_reader_refuses(tmp_path, loader, dtype, te
         (partial(mc.load_features, sparse=True), "sparse 2 2\n# none\n", None),
         (mc.load_checkpoint, CHECKPOINT, "truncated checkpoint"),
         (mc.load_checkpoint, CHECKPOINT + "0.5\n# one row short\n", "truncated checkpoint"),
+        (mc.load_checkpoint, HEADER, "missing dims line"),
     ],
     ids=["edges", "edges-comments", "dense", "dense-comments", "pairs", "sparse",
-         "checkpoint", "checkpoint-short"],
+         "checkpoint", "checkpoint-short", "checkpoint-header-only"],
 )
 def test_file_without_rows_keeps_its_message_and_warns_nothing(tmp_path, loader, text, message):
     path = write(tmp_path, "input.tsv", text)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -329,6 +330,40 @@ class TestCmdTrain:
             "partition_seed0.tsv",
         ]
 
+    @staticmethod
+    def nan_total(monkeypatch):
+        """Make every loss report a NaN total, its gradient left as computed."""
+        real = pipeline.total_loss
+
+        def nan_loss(x, g, aux=None):
+            report, grad = real(x, g, aux)
+            return dataclasses.replace(report, total=np.nan), grad
+
+        monkeypatch.setattr(pipeline, "total_loss", nan_loss)
+
+    def test_non_finite_loss_stops_the_epoch_before_the_update(
+        self, small_dataset, monkeypatch
+    ):
+        out, _ = small_dataset
+        g, a_norm, features, _ = pipeline.load_inputs(out / "edges.tsv", out / "features.tsv")
+        model = mc.init_model([features.shape[1], 8, 4], seed=0)
+        adam = mc.init_adam(model)
+        weights = [w.copy() for w in model.weights]
+        self.nan_total(monkeypatch)
+        with pytest.raises(pipeline.DivergenceError, match=r"^non-finite loss at epoch 1$"):
+            pipeline.train_epoch(model, adam, g, a_norm, features, None)
+        assert adam.step == 0
+        assert all(np.array_equal(a, b) for a, b in zip(model.weights, weights))
+
+    def test_non_finite_loss_is_logged(self, small_dataset, tmp_path, monkeypatch):
+        out, _ = small_dataset
+        self.nan_total(monkeypatch)
+        with pytest.warns(UserWarning, match="diverged"):
+            artifacts = cmd_train(small_config(out, tmp_path / "run", epochs=5, seeds=[0]))
+        assert (artifacts.out_dir / "failures.log").read_text() == (
+            "seed 0: non-finite loss at epoch 1\n"
+        )
+
     def test_nan_weight_ends_only_its_seed(self, small_dataset, tmp_path, monkeypatch):
         import modcluster.gcn as gcn
 
@@ -530,6 +565,9 @@ class TestCli:
             ("partition-unread", r"--partition is only read by aux_mode external-partition$"),
             ("lambda-unread", r"--lambda is only read by an aux mode$"),
             ("self-loop-edges", r"edges\.tsv: no edges besides self-loops$"),
+            ("label-fraction-unread",
+             r"--label-fraction is only read by aux_mode labels or external-partition$"),
+            ("blocks-zero", r"generate: block sizes must be positive$"),
         ],
         ids=[
             "unknown-key", "comment-only-edges", "missing-file", "missing-edges",
@@ -544,7 +582,7 @@ class TestCli:
             "config-float-seeds", "config-bool-epochs", "config-number-edges",
             "config-not-json",
             "config-null-epochs", "config-list", "pairs-unread", "partition-unread",
-            "lambda-unread", "self-loop-edges",
+            "lambda-unread", "self-loop-edges", "label-fraction-unread", "blocks-zero",
         ],
     )
     def test_bad_input_prints_one_line_and_exits_2(self, tmp_path, capsys, case, message):
@@ -588,6 +626,7 @@ class TestCli:
             "partition-unread": ["--aux-mode", "pairs", "--pairs", str(aux), "--lambda", "0.5",
                                  "--partition", str(aux)],
             "lambda-unread": ["--lambda", "0.8"],
+            "label-fraction-unread": ["--label-fraction", "0.2"],
         }
         # the --config file each config case gives
         config = {
@@ -633,6 +672,9 @@ class TestCli:
             argv = ["eval", "--checkpoint", str(tmp_path / "missing.tsv"),
                     "--edges", str(data / "edges.tsv"),
                     "--features", str(data / "features.tsv")] + bad_flags[case]
+        elif case == "blocks-zero":
+            argv = ["generate", "--blocks", "0,5", "--p-in", "0.5", "--p-out", "0.1",
+                    "--out", str(tmp_path / "run")]
         elif case.startswith("scaling-"):
             # the option is checked before any graph is built or timed
             argv = ["scaling", "--sizes", "40", "--dims", "4",
@@ -713,6 +755,34 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stderr.splitlines()
+        assert all(line.startswith("modcluster train: warning: ") for line in lines), lines
+        assert [line for line in lines if "isolated" in line] == [
+            "modcluster train: warning: 1 isolated node(s): their normalized-adjacency rows"
+            " are all zero"
+        ]
+
+    def test_warning_prints_one_line_in_process(self, tmp_path, capsys):
+        # the graph of test_warning_prints_one_line, whose node 1 has no edge
+        data = tmp_path / "data"
+        main([
+            "generate", "--blocks", "6,6", "--p-in", "0.5", "--p-out", "0.1",
+            "--seed", "1", "--out", str(data),
+        ])
+        capsys.readouterr()
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        # pytest records warnings unformatted; show them as the interpreter's default does
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = show
+            assert main([
+                "train", "--edges", str(data / "edges.tsv"),
+                "--features", str(data / "features.tsv"),
+                "--dims", "8,4", "--epochs", "5", "--seeds", "0", "--out", str(tmp_path / "run"),
+            ]) == 0
+        lines = capsys.readouterr().err.splitlines()
         assert all(line.startswith("modcluster train: warning: ") for line in lines), lines
         assert [line for line in lines if "isolated" in line] == [
             "modcluster train: warning: 1 isolated node(s): their normalized-adjacency rows"
