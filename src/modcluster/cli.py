@@ -14,6 +14,7 @@ import json
 import sys
 import warnings
 
+from .metrics import SCORES, scaled
 from .pipeline import (
     AUX_FILES, RunArtifacts, RunConfig, cmd_eval, cmd_generate, cmd_scaling, cmd_train,
 )
@@ -108,12 +109,9 @@ def _train(**flags) -> tuple[RunConfig, RunArtifacts]:
 def _print_train(result: tuple[RunConfig, RunArtifacts], flags: dict) -> int:
     config, artifacts = result
     print(f"run {config.run_id}: {len(artifacts.results)}/{len(config.seeds)} seeds finished")
-    for name, label in (("q", "Q"), ("conductance", "C"), ("nmi", "NMI"), ("f1", "F1")):
+    for name, label in SCORES.items():
         if artifacts.mean.get(name) is not None:
-            print(
-                f"  {label}: {100 * artifacts.mean[name]:.1f}"
-                f" +/- {100 * artifacts.std[name]:.1f}"
-            )
+            print(f"  {label}: {scaled(artifacts.mean[name])} +/- {scaled(artifacts.std[name])}")
     if artifacts.mean.get("k_found") is not None:
         print(f"  clusters found (mean): {artifacts.mean['k_found']:.1f}")
     print(f"  artifacts in {artifacts.out_dir}")
@@ -122,11 +120,9 @@ def _print_train(result: tuple[RunConfig, RunArtifacts], flags: dict) -> int:
 
 def _print_eval(report, flags: dict) -> int:
     print(f"k_found: {report.k_found}")
-    print(f"Q: {100 * report.q:.1f}")
-    print(f"C: {100 * report.conductance:.1f}")
-    if report.nmi is not None:
-        print(f"NMI: {100 * report.nmi:.1f}")
-        print(f"F1: {100 * report.f1:.1f}")
+    for name, label in SCORES.items():
+        if getattr(report, name) is not None:
+            print(f"{label}: {scaled(getattr(report, name))}")
     return 0
 
 

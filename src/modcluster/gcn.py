@@ -324,10 +324,10 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
     if not tape.outputs:
         raise ValueError("tape has no recorded forward pass")
     g = np.asarray(dloss_dx, dtype=np.float64)
+    if g.shape != tape.outputs[-1].shape:  # the transform keeps its input's shape
+        raise ValueError("gradient shape does not match the network's output")
 
     if tape.output is not None:
-        if g.shape != tape.output.shape:
-            raise ValueError("gradient shape does not match transformed output")
         g_out, g = g, np.empty_like(g)
 
         def kernel(lo, hi):
@@ -350,8 +350,6 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
 
     else:
         g = g.copy()  # SELU' is multiplied into g in place: keep the caller's array
-    if g.shape != tape.outputs[-1].shape:
-        raise ValueError("gradient shape does not match raw output")
     grads: list[np.ndarray] = [None] * len(tape.weights)
     for layer in range(len(tape.weights) - 1, -1, -1):
         w, h, last = tape.weights[layer], tape.inputs[layer], tape.aggregate_last[layer]

@@ -1,7 +1,7 @@
 """Hard-partition quality measures: modularity, conductance, NMI, pairwise F1.
 
-All values are returned on their natural [0, 1]-ish scales; pipeline._scaled
-writes them x100 to metrics.csv, and the CLI prints them x100.
+All values are returned on their natural [0, 1]-ish scales; ``SCORES`` names
+each score and ``scaled`` gives it as metrics.csv and the CLI show it (x100).
 """
 
 from __future__ import annotations
@@ -14,6 +14,14 @@ import numpy as np
 from .graph import UNLABELED, Graph, Partition
 
 F1_SAMPLE_SIZE = 1000  # labeled nodes in pairwise F1's sample
+
+# each MetricsReport score and its name in metrics.csv and the CLI's printout
+SCORES = {"q": "Q", "conductance": "C", "nmi": "NMI", "f1": "F1"}
+
+
+def scaled(value: float | None) -> str:
+    """A score as it is shown: x100 with one decimal, "" for a missing score."""
+    return "" if value is None else f"{100.0 * value:.1f}"
 
 
 @dataclass
@@ -84,17 +92,15 @@ def nmi(p: Partition, labels: np.ndarray) -> float:
     total = table.sum()
     pa = table.sum(axis=1) / total
     pb = table.sum(axis=0) / total
-    ha = -float(np.sum(pa * np.log(pa, where=pa > 0, out=np.zeros_like(pa))))
-    hb = -float(np.sum(pb * np.log(pb, where=pb > 0, out=np.zeros_like(pb))))
+    ha = -float(np.sum(pa * np.log(pa)))
+    hb = -float(np.sum(pb * np.log(pb)))
     if ha == 0.0 and hb == 0.0:
         return 1.0  # both single-cluster, necessarily identical
     if ha == 0.0 or hb == 0.0:
         return 0.0
     pj = table / total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = pj / np.outer(pa, pb)
-        terms = np.where(pj > 0, pj * np.log(ratio, where=pj > 0, out=np.zeros_like(ratio)), 0.0)
-    info = float(terms.sum())
+    logs = np.log(pj / np.outer(pa, pb), where=pj > 0, out=np.zeros_like(pj))
+    info = float(np.sum(pj * logs))
     return 2.0 * info / (ha + hb)
 
 

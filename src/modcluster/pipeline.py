@@ -23,7 +23,7 @@ import csv
 import ctypes
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ from .graph import (
     write_partition,
 )
 from .losses import AuxiliaryInfo, LossReport, onehot_from_labels, total_loss
-from .metrics import F1_SAMPLE_SIZE, MetricsReport, check_sample_size, evaluate
+from .metrics import F1_SAMPLE_SIZE, SCORES, MetricsReport, check_sample_size, evaluate, scaled
 
 _ROLES = {"init": 0, "sbm": 1, "f1": 2, "aux": 3, "features": 4}
 
@@ -140,44 +140,42 @@ class RunArtifacts:
     std: dict
 
 
-def read_aux_rows(config: RunConfig, n: int, labels: np.ndarray | None) -> np.ndarray | None:
-    """What the aux mode supervises with, read once per run: None, the --pairs
-    rows, or a label array (``labels``, or the --partition file's). Makes every
-    check that does not depend on the seed, so ``build_aux`` only draws."""
-    if config.aux_mode == "none":
-        return None
-    if config.aux_mode == "pairs":
-        pairs = load_pairs(config.pairs, n)
-        if len(pairs) == 0:
-            raise ValueError(f"{config.pairs}: empty pair file")
-        return pairs
-    # external-partition reads a file of the same shape as labels.tsv
-    source = labels if config.aux_mode == "labels" else load_labels(config.partition, n)
-    if source is None:
-        raise ValueError("aux_mode=labels requires a labels file")
-    labeled = np.count_nonzero(source != UNLABELED)
-    if labeled == 0:
-        raise ValueError("auxiliary source has no labeled nodes")
-    if round(config.label_fraction * labeled) == 0:
-        raise ValueError("label_fraction selects an empty auxiliary subset")
-    return source
-
-
-def build_aux(config: RunConfig, rows: np.ndarray | None, seed: int) -> AuxiliaryInfo | None:
-    """The seed's auxiliary supervision from the run's aux rows (see read_aux_rows):
-    the pairs as they are, or the labelled subset this seed draws."""
+def read_aux_rows(config: RunConfig, n: int, labels: np.ndarray | None) -> AuxiliaryInfo | None:
+    """The run's aux supervision, encoded once: None or the weights alone, the --pairs
+    rows, or every labelled node of ``labels`` (or the --partition file) with its one-hot
+    row. Makes every check that does not depend on the seed, so ``build_aux`` only draws."""
     weights = {"lam": config.lam, "alpha": config.alpha}
     if config.aux_mode == "none":
         return AuxiliaryInfo(**weights) if config.alpha else None
     if config.aux_mode == "pairs":
-        return AuxiliaryInfo("pairs", pairs=rows, **weights)
-    subset = np.flatnonzero(rows != UNLABELED)
-    take = round(config.label_fraction * len(subset))
-    if take < len(subset):
-        rng = np.random.default_rng(derive_seed(seed, "aux"))
-        subset = np.sort(rng.choice(subset, size=take, replace=False))
-    onehot = onehot_from_labels(rows, subset)
+        pairs = load_pairs(config.pairs, n)
+        if len(pairs) == 0:
+            raise ValueError(f"{config.pairs}: empty pair file")
+        return AuxiliaryInfo("pairs", pairs=pairs, **weights)
+    # external-partition reads a file of the same shape as labels.tsv
+    source = labels if config.aux_mode == "labels" else load_labels(config.partition, n)
+    if source is None:
+        raise ValueError("aux_mode=labels requires a labels file")
+    subset = np.flatnonzero(source != UNLABELED)
+    if len(subset) == 0:
+        raise ValueError("auxiliary source has no labeled nodes")
+    if round(config.label_fraction * len(subset)) == 0:
+        raise ValueError("label_fraction selects an empty auxiliary subset")
+    onehot = onehot_from_labels(source, subset)
     return AuxiliaryInfo("labels", subset=subset, onehot=onehot, **weights)
+
+
+def build_aux(config: RunConfig, aux: AuxiliaryInfo | None, seed: int) -> AuxiliaryInfo | None:
+    """The seed's auxiliary supervision: the run's (see read_aux_rows) as it is,
+    or the --label-fraction of its labelled rows that this seed draws."""
+    if aux is None or aux.subset is None:
+        return aux
+    take = round(config.label_fraction * len(aux.subset))
+    if take == len(aux.subset):
+        return aux
+    rng = np.random.default_rng(derive_seed(seed, "aux"))
+    rows = np.sort(rng.choice(len(aux.subset), size=take, replace=False))
+    return replace(aux, subset=aux.subset[rows], onehot=aux.onehot[rows])
 
 
 def train_single_seed(
@@ -187,10 +185,10 @@ def train_single_seed(
     config: RunConfig,
     seed: int,
     labels: np.ndarray | None = None,
-    aux_rows: np.ndarray | None = None,
+    aux_rows: AuxiliaryInfo | None = None,
 ) -> SeedResult:
     """Full training for one seed; raises DivergenceError when it goes non-finite.
-    ``aux_rows`` is the run's ``read_aux_rows``, read here when not given."""
+    ``aux_rows`` is the run's encoded supervision, ``read_aux_rows``'s when not given."""
     if aux_rows is None:
         aux_rows = read_aux_rows(config, g.n, labels)
     aux = build_aux(config, aux_rows, seed)
@@ -281,37 +279,29 @@ def _write_loss_csv(path: Path, rows) -> None:
             writer.writerow([row[0]] + [f"{v:.12g}" for v in row[1:]])
 
 
-def _scaled(v) -> str:
-    return "" if v is None else f"{100.0 * v:.1f}"
-
-
 def write_metrics_csv(
     path: Path, config: RunConfig, results: list[SeedResult]
 ) -> tuple[dict, dict]:
     """Per-seed rows plus mean/std summary rows; returns raw-scale summaries."""
-    scores = ("q", "conductance", "nmi", "f1")
-    names = scores + ("k_found",)
     stacks = {
         name: np.array(
             [getattr(r.report, name) for r in results if getattr(r.report, name) is not None],
             dtype=np.float64,
         )
-        for name in names
+        for name in (*SCORES, "k_found")
     }
     mean = {k: float(v.mean()) if len(v) else None for k, v in stacks.items()}
     std = {k: float(v.std(ddof=0)) if len(v) else None for k, v in stacks.items()}
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["run_id", "seed", "lambda", "alpha", "k_found", "Q", "C", "NMI", "F1"]
-        )
+        writer.writerow(["run_id", "seed", "lambda", "alpha", "k_found", *SCORES.values()])
         for r in results:
-            cells = [str(r.report.k_found)] + [_scaled(getattr(r.report, m)) for m in scores]
+            cells = [str(r.report.k_found)] + [scaled(getattr(r.report, m)) for m in SCORES]
             writer.writerow([config.run_id, r.seed, config.lam, config.alpha] + cells)
         for label, summary in (("mean", mean), ("std", std)):
             k = summary["k_found"]
-            cells = ["" if k is None else f"{k:.1f}"] + [_scaled(summary[m]) for m in scores]
+            cells = ["" if k is None else f"{k:.1f}"] + [scaled(summary[m]) for m in SCORES]
             writer.writerow([config.run_id, label, config.lam, config.alpha] + cells)
     return mean, std
 

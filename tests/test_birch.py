@@ -132,6 +132,10 @@ class TestBirchFit:
         with pytest.raises(ValueError, match="non-finite"):
             mc.birch_fit(np.array([[np.nan, 1.0]]))
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="2-d"):
+            mc.birch_fit(np.ones(3))
+
     def test_every_point_labeled_contiguously(self):
         rng = np.random.default_rng(2)
         x = mc.transform_embeddings(rng.normal(0, 1, (120, 6)))
@@ -214,6 +218,10 @@ class TestParamsAndRelabel:
         out = mc.Partition.compact(np.array([0, 2, 5]))
         assert out.assignment.tolist() == [0, 1, 2]
         assert out.k == 3
+
+    def test_compact_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty partition"):
+            mc.Partition.compact([])
 
     def test_compact_keeps_contiguous(self):
         part = mc.Partition(np.array([0, 1, 0]), k=2)

@@ -200,6 +200,10 @@ class TestTransform:
         rhs = 2.0 * (1.0 - np.einsum("ij,ij->i", out[i], out[j]))
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="2-d"):
+            mc.transform_embeddings(np.ones(3))
+
 
 class TestAdam:
     def test_zero_gradients_keep_weights(self):
@@ -251,6 +255,17 @@ class TestAdam:
         bad = [np.full_like(w, np.nan) for w in model.weights]
         with pytest.raises(ValueError, match="non-finite"):
             mc.adam_step(model, bad, state)
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [([(3, 4)], "gradient count does not match weight count"),
+         ([(3, 4), (2, 4)], "gradient shape mismatch at layer 1")],
+        ids=["count", "shape"],
+    )
+    def test_gradients_must_match_the_weights(self, shapes, message):
+        model = mc.init_model([3, 4, 2], seed=0)
+        with pytest.raises(ValueError, match=message):
+            mc.adam_step(model, [np.zeros(s) for s in shapes], mc.init_adam(model))
 
 
 class TestBackward:
@@ -365,6 +380,16 @@ class TestBackward:
         with pytest.raises(ValueError, match="tape"):
             mc.backward(GradientTape(), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("transformed", [False, True], ids=["raw", "transformed"])
+    def test_wrong_shape_upstream_rejected(self, transformed):
+        g, a_norm, feats, model = self.setup_small(seed=3)
+        tape = GradientTape()
+        raw = mc.gcn_forward(model, a_norm, feats, tape)
+        if transformed:
+            mc.transform_embeddings(raw, tape)
+        with pytest.raises(ValueError, match="gradient shape does not match"):
+            mc.backward(tape, np.zeros((raw.shape[0], raw.shape[1] + 1)))
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
@@ -450,6 +475,14 @@ def assert_same_bits(got, want):
 
 
 class TestRowBlocks:
+    def test_vector_product_falls_back_to_scipy(self):
+        a_norm = mc.normalized_adjacency(random_graph(12, 0.5, 3))
+        assert type(a_norm) is gcn.RowBlockCsr
+        v = np.random.default_rng(3).normal(0, 1, 12)
+        got = a_norm @ v
+        assert got.shape == (12,)
+        assert got.tobytes() == (sp.csr_matrix(a_norm) @ v).tobytes()
+
     def test_blocks_cover_rows_in_order(self, monkeypatch):
         force_blocks(monkeypatch, workers=3)
         main = threading.get_ident()

@@ -180,6 +180,10 @@ class TestGenerateSbm:
         with pytest.raises(ValueError):
             mc.generate_sbm([5], 0.1, 0.5, seed=0)
 
+    def test_empty_block_list(self):
+        with pytest.raises(ValueError, match="block_sizes must be nonempty"):
+            mc.generate_sbm([], 0.5, 0.1, seed=0)
+
     def test_planted_partition_matches_blocks(self):
         _, part = mc.generate_sbm([3, 4, 5], 0.9, 0.1, seed=1)
         assert part.k == 3
@@ -354,6 +358,12 @@ def test_partition_round_trip(tmp_path):
     loaded = mc.load_partition(path, 5)
     assert np.array_equal(loaded.assignment, part.assignment)
     assert loaded.k == 3
+
+
+def test_partition_file_missing_a_node(tmp_path):
+    path = write(tmp_path, "input.tsv", "0 0\n2 1\n")
+    with pytest.raises(ValueError, match=re.escape("input.tsv: node 1 has no cluster id")):
+        partition3(path)
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,11 @@ class TestModularityLoss:
         with pytest.raises(ValueError, match="m=0"):
             mc.modularity_loss(np.ones((3, 2)), g)
 
+    def test_row_count_must_match_graph(self):
+        g = from_edges(np.array([[0, 1], [1, 2]]), 3)
+        with pytest.raises(ValueError, match="row count"):
+            mc.modularity_loss(np.ones((2, 2)), g)
+
 
 class TestAuxLossLabels:
     def test_exact_match_is_zero(self):

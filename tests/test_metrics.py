@@ -50,6 +50,11 @@ class TestModularity:
         with pytest.raises(ValueError, match="cover"):
             mc.modularity(g, mc.Partition(np.array([0, 1]), k=2))
 
+    def test_edgeless_graph_rejected(self):
+        g = from_edges(np.zeros((0, 2), dtype=np.int64), 3)
+        with pytest.raises(ValueError, match="m=0"):
+            mc.modularity(g, mc.Partition(np.zeros(3, dtype=int), k=1))
+
     def test_range(self):
         g = random_graph(15, 0.4, 10)
         rng = np.random.default_rng(5)
@@ -113,6 +118,31 @@ class TestNmi:
         labels = np.array([0, 0, 1, 1, mc.UNLABELED])
         part = mc.Partition(np.array([0, 0, 1, 1, 0]), k=2)
         assert mc.nmi(part, labels) == pytest.approx(1.0)
+
+    def test_matches_direct_mutual_information(self):
+        def direct(a, b):  # I(a; b) / mean(H(a), H(b)), one term per pair of values
+            n = len(a)
+            ha = -sum(np.mean(a == u) * np.log(np.mean(a == u)) for u in set(a))
+            hb = -sum(np.mean(b == v) * np.log(np.mean(b == v)) for v in set(b))
+            if ha == 0.0 and hb == 0.0:
+                return 1.0
+            info = 0.0
+            for u in set(a):
+                for v in set(b):
+                    joint = np.sum((a == u) & (b == v))
+                    if joint:
+                        info += joint / n * np.log(n * joint / (np.sum(a == u) * np.sum(b == v)))
+            return 2.0 * info / (ha + hb)
+
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            n = int(rng.integers(1, 30))
+            part = mc.Partition.compact(rng.integers(0, rng.integers(1, 6), n))
+            labels = rng.integers(mc.UNLABELED, rng.integers(1, 6), n)
+            labels[rng.integers(n)] = rng.integers(0, 3)  # at least one labeled node
+            labeled = labels != mc.UNLABELED
+            want = direct(part.assignment[labeled], labels[labeled])
+            assert mc.nmi(part, labels) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_no_labels_raises(self):
         part = mc.Partition(np.array([0, 1]), k=2)

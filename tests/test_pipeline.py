@@ -487,6 +487,42 @@ class TestCli:
         output = capsys.readouterr().out
         assert "Q:" in output
 
+    # perfbench's gate parses these lines: each score is its raw value x100, one decimal
+    def test_train_prints_the_run_means_x100(self, small_dataset, tmp_path, capsys):
+        out, _ = small_dataset
+        run = tmp_path / "run"
+        assert main([
+            "train", "--edges", str(out / "edges.tsv"), "--features", str(out / "features.tsv"),
+            "--labels", str(out / "labels.tsv"), "--dims", "16,8", "--epochs", "40",
+            "--seeds", "0,1", "--out", str(run),
+        ]) == 0
+        again = cmd_train(small_config(out, tmp_path / "again"))
+        mean, std = again.mean, again.std
+        scores = (("q", "Q"), ("conductance", "C"), ("nmi", "NMI"), ("f1", "F1"))
+        assert capsys.readouterr().out.splitlines() == [
+            "run run: 2/2 seeds finished",
+            *(f"  {label}: {100 * mean[name]:.1f} +/- {100 * std[name]:.1f}"
+              for name, label in scores),
+            f"  clusters found (mean): {mean['k_found']:.1f}",
+            f"  artifacts in {run}",
+        ]
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labels", "no-labels"])
+    def test_eval_prints_the_report_x100(self, small_dataset, tmp_path, capsys, labeled):
+        out, _ = small_dataset
+        cmd_train(small_config(out, tmp_path, seeds=[0]))
+        files = [str(tmp_path / "checkpoint_seed0.tsv"), str(out / "edges.tsv"),
+                 str(out / "features.tsv"), *([str(out / "labels.tsv")] if labeled else [])]
+        flags = ["--checkpoint", "--edges", "--features", "--labels"]
+        argv = [item for pair in zip(flags, files) for item in pair]
+        assert main(["eval", *argv, "--seed", "2"]) == 0
+        report = cmd_eval(*files, seed=2)
+        want = [f"k_found: {report.k_found}", f"Q: {100 * report.q:.1f}",
+                f"C: {100 * report.conductance:.1f}"]
+        if labeled:
+            want += [f"NMI: {100 * report.nmi:.1f}", f"F1: {100 * report.f1:.1f}"]
+        assert capsys.readouterr().out.splitlines() == want
+
     def test_missing_required_flags(self, capsys):
         assert main(["train"]) == 2
 
