@@ -20,7 +20,8 @@ its own threads. Blocks depend only on array shapes and each is one call
 whichever thread runs it, so a pooled run's outputs are byte-identical for
 any core count; ``taskset -c 0`` gives a serial run.
 SELU writes over its product, SELU' multiplies into the upstream gradient and
-Adam updates in place, so an epoch writes each large array once.
+Adam updates in place, so an epoch writes each large array once; backward
+frees each taped array, and a tapeless forward each layer's input, once used.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def init_model(layer_dims: list[int], seed: int) -> GcnModel:
 
 @dataclass
 class GradientTape:
-    """Intermediates recorded by gcn_forward/transform_embeddings for backward."""
+    """Intermediates recorded by gcn_forward/transform_embeddings for backward,
+    which consumes them: a tape is single-use."""
 
     a_norm: sp.csr_matrix | None = None
     # per layer: the dense product's left operand (H, or A_norm @ H) and output
@@ -235,7 +237,9 @@ def gcn_forward(
     tape: GradientTape | None = None,
 ) -> np.ndarray:
     """Run all GCN layers; returns the raw (untransformed) embedding matrix.
-    ``x0`` may be a dense array or a scipy sparse matrix."""
+    ``x0`` may be a dense array or a scipy sparse matrix. Without a tape each step
+    frees its operand: with row-block kernels and train's default dims [r, 256, 128,
+    64], dense r <= 128, at most n * 384 float64 values besides ``x0`` are live."""
     if x0.shape[1] != model.layer_dims[0]:
         raise ValueError(
             f"feature dim {x0.shape[1]} != model input dim {model.layer_dims[0]}"
@@ -246,19 +250,19 @@ def gcn_forward(
     h = x0.tocsr() if sp.issparse(x0) else x0  # row blocks of a sparse H need CSR
     for layer, w in enumerate(model.weights):
         last = sp.issparse(h) or h.shape[1] > w.shape[1]  # H is sparse or the layer narrows
-        if last:
-            pre = a_norm @ _matmul(h, w)
-        else:
+        if not last:
             h = a_norm @ h
-            pre = _matmul(h, w)
-        out = selu(pre, pre)
-        if not all(_row_runs(lambda lo, hi: np.isfinite(out[lo:hi]).all(), *out.shape)):
-            raise DivergenceError(f"non-finite activation in layer {layer}")
         if tape is not None:
             tape.inputs.append(h)
-            tape.outputs.append(out)
             tape.aggregate_last.append(last)
-        h = out
+        h = _matmul(h, w)  # without a tape, h was the input's last reference
+        if last:
+            h = a_norm @ h
+        h = selu(h, h)
+        if not all(_row_runs(lambda lo, hi: np.isfinite(h[lo:hi]).all(), *h.shape)):
+            raise DivergenceError(f"non-finite activation in layer {layer}")
+        if tape is not None:
+            tape.outputs.append(h)
     return h
 
 
@@ -320,8 +324,16 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
     ``dloss_dx`` is the gradient with respect to the transformed embeddings
     when the tape recorded a transform, otherwise with respect to the raw
     GCN output. Returns one gradient per weight matrix.
+
+    It consumes the tape, freeing each array once used: with row-block kernels,
+    train's default dims [r, 256, 128, 64] and dense r < 256, an epoch then peaks
+    at n * (r + 704) float64 values, at the transform gradient (the tape,
+    ``dloss_dx`` and its successor) and at layer 1's ``P W'`` (layer 0's input
+    and output, ``dloss_dx``, P and ``P W'``).
     """
     if not tape.outputs:
+        if tape.weights:
+            raise ValueError("tape was consumed by an earlier backward")
         raise ValueError("tape has no recorded forward pass")
     g = np.asarray(dloss_dx, dtype=np.float64)
     if g.shape != tape.outputs[-1].shape:  # the transform keeps its input's shape
@@ -347,18 +359,20 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
             np.divide(gy - rowdots[:, None], divisor, out=g[lo:hi])
 
         _row_runs(kernel, *g.shape)
-
+        tape.output = tape.after_tanh = None
     else:
         g = g.copy()  # SELU' is multiplied into g in place: keep the caller's array
     grads: list[np.ndarray] = [None] * len(tape.weights)
     for layer in range(len(tape.weights) - 1, -1, -1):
-        w, h, last = tape.weights[layer], tape.inputs[layer], tape.aggregate_last[layer]
-        dpre = _selu_grad(tape.outputs[layer], g)
+        w, last = tape.weights[layer], tape.aggregate_last[layer]
+        # g is dLoss/dout, then dpre, then P, then dH: each frees the one before
+        g = _selu_grad(tape.outputs.pop(), g)
         # A (H W): A_norm is symmetric, so P = A_norm @ dpre gives grad W = H' P, dH = P W'
-        p = tape.a_norm @ dpre if last else dpre
-        grads[layer] = _gram(h, p)
+        if last:
+            g = tape.a_norm @ g
+        grads[layer] = _gram(tape.inputs.pop(), g)
         if layer > 0:
-            g = _matmul(p, w.T) if last else tape.a_norm @ _matmul(dpre, w.T)
+            g = _matmul(g, w.T) if last else tape.a_norm @ _matmul(g, w.T)
     return grads
 
 
@@ -385,20 +399,22 @@ def init_adam(model: GcnModel, learning_rate: float = LEARNING_RATE) -> AdamStat
 
 def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState) -> None:
     """One bias-corrected Adam update of the moments and the weights, in
-    place, rounding as the textbook expressions do:
+    place once every gradient has passed its checks (so a bad one changes
+    nothing, not even the step count), rounding as the textbook expressions do:
 
         m = B1 m + (1 - B1) g;  v = B2 v + (1 - B2) g g
         w -= lr (m / (1 - B1^t)) / (sqrt(v / (1 - B2^t)) + eps)
     """
     if len(grads) != len(model.weights):
         raise ValueError("gradient count does not match weight count")
-    state.step += 1
-    t = state.step
     for i, (w, g) in enumerate(zip(model.weights, grads)):
         if g.shape != w.shape:
             raise ValueError(f"gradient shape mismatch at layer {i}")
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient at layer {i}")
+    state.step += 1
+    t = state.step
+    for i, (w, g) in enumerate(zip(model.weights, grads)):
         m, v, (a, b) = state.m[i], state.v[i], state.scratch[i]
         m *= ADAM_BETA1
         m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)

@@ -241,9 +241,9 @@ def train_epoch(
     allocator policy that the commands running the GCN set first (``keep_freed_memory``).
     """
     tape = gcn.GradientTape()
-    raw = gcn.gcn_forward(model, a_norm, features, tape)
-    x = gcn.transform_embeddings(raw, tape)
+    x = gcn.transform_embeddings(gcn.gcn_forward(model, a_norm, features, tape), tape)
     report, dldx = total_loss(x, g, aux)
+    del x  # the tape's reference is backward's to free
     if not np.isfinite(report.total):
         raise DivergenceError(f"non-finite loss at epoch {adam.step + 1}")
     gcn.adam_step(model, gcn.backward(tape, dldx), adam)

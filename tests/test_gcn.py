@@ -267,6 +267,23 @@ class TestAdam:
         with pytest.raises(ValueError, match=message):
             mc.adam_step(model, [np.zeros(s) for s in shapes], mc.init_adam(model))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.zeros((2, 4)), "gradient shape mismatch at layer 1"),
+         (np.full((4, 2), np.nan), "non-finite gradient at layer 1")],
+        ids=["shape", "nan"],
+    )
+    def test_bad_gradient_changes_nothing(self, bad, message):
+        rng = np.random.default_rng(1)
+        model = mc.init_model([3, 4, 2], seed=1)
+        state = mc.init_adam(model)
+        mc.adam_step(model, [rng.normal(0, 1, w.shape) for w in model.weights], state)
+        before = [a.tobytes() for a in (*model.weights, *state.m, *state.v)]
+        with pytest.raises(ValueError, match=message):
+            mc.adam_step(model, [rng.normal(0, 1, (3, 4)), bad], state)
+        assert state.step == 1
+        assert [a.tobytes() for a in (*model.weights, *state.m, *state.v)] == before
+
 
 class TestBackward:
     def setup_small(self, seed=0, dims=(4, 3, 2), n=6):
@@ -377,8 +394,23 @@ class TestBackward:
         assert upstream.tobytes() == before.tobytes()
 
     def test_empty_tape_rejected(self):
-        with pytest.raises(ValueError, match="tape"):
+        with pytest.raises(ValueError, match="tape has no recorded forward pass"):
             mc.backward(GradientTape(), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("transformed", [False, True], ids=["raw", "transformed"])
+    def test_backward_consumes_the_tape(self, transformed):
+        g, a_norm, feats, model = self.setup_small(seed=9)
+        tape = GradientTape()
+        x = mc.gcn_forward(model, a_norm, feats, tape)
+        if transformed:
+            x = mc.transform_embeddings(x, tape)
+        mc.backward(tape, np.ones_like(x))
+        # the n-long row masks and sums may stay; no n x k array does
+        left = [v for v in vars(tape).values() if isinstance(v, np.ndarray)]
+        left += [*tape.inputs, *tape.outputs]
+        assert not [v for v in left if v.ndim == 2 and v.shape[0] == g.n]
+        with pytest.raises(ValueError, match="tape was consumed by an earlier backward"):
+            mc.backward(tape, np.ones_like(x))
 
     @pytest.mark.parametrize("transformed", [False, True], ids=["raw", "transformed"])
     def test_wrong_shape_upstream_rejected(self, transformed):
@@ -457,13 +489,15 @@ def force_blocks(monkeypatch, workers, block=6, product=0):
 
 
 def epoch_arrays(model, a_norm, x0, upstream):
-    """Every array a forward, transform and backward from ``upstream`` produce."""
+    """Every array a forward, transform and backward from ``upstream`` produce;
+    the tape's are taken before backward consumes it."""
     tape = GradientTape()
     raw = mc.gcn_forward(model, a_norm, x0, tape)
     x = mc.transform_embeddings(raw, tape)
-    grads = mc.backward(tape, upstream)
     recorded = [v for v in vars(tape).values() if isinstance(v, np.ndarray)]
-    return [raw, x, *grads, *tape.inputs, *tape.outputs, *recorded]
+    recorded += [*tape.inputs, *tape.outputs]
+    grads = mc.backward(tape, upstream)
+    return [raw, x, *grads, *recorded]
 
 
 def assert_same_bits(got, want):
@@ -583,9 +617,9 @@ class TestRowBlocks:
             )
             with pytest.warns(UserWarning) as caught:
                 out = mc.transform_embeddings(x, tape)
-            grads = mc.backward(tape, g)
-            messages = [str(w.message) for w in caught]
             arrays = [v for v in vars(tape).values() if isinstance(v, np.ndarray)]
+            grads = mc.backward(tape, g)  # consumes the tape: its arrays are taken first
+            messages = [str(w.message) for w in caught]
             return messages, [out, *grads, *arrays]
 
         serial_messages, serial = run()

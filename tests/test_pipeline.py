@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import modcluster as mc
-from modcluster import pipeline
+from modcluster import gcn, pipeline
 from modcluster.cli import main
 from modcluster.pipeline import (
     RunConfig,
@@ -920,6 +921,40 @@ class TestAllocatorPolicy:
         for name in names:
             direct = (tmp_path / "direct" / name).read_bytes()
             assert (tmp_path / "cli" / name).read_bytes() == direct
+
+
+class TestPeakMemory:
+    """An epoch's and the tapeless inference pass's traced peaks match the live sets
+    that ``gcn.backward`` and ``gcn.gcn_forward`` count: kernels run in row blocks,
+    as from ``gcn._POOL_MIN_ROWS`` rows on, so their temporaries stay small."""
+
+    N = 6000
+
+    @pytest.fixture(scope="class")
+    def sbm(self):
+        g, _, features = pipeline.sbm_dataset(*pipeline.scaling_sbm_params(self.N), 0)
+        return g, mc.normalized_adjacency(g), features
+
+    @pytest.mark.parametrize("phase", ["epoch", "inference"])
+    def test_peak_is_the_counted_live_set(self, sbm, monkeypatch, phase):
+        g, a_norm, features = sbm
+        monkeypatch.setattr(gcn, "_POOL_MIN_ROWS", 0)
+        monkeypatch.setattr(gcn, "_WORKERS", 1)  # one thread's block temporaries at a time
+        r = features.shape[1]
+        model = gcn.init_model([r, *RunConfig().hidden_dims], 0)
+        adam = gcn.init_adam(model)
+        tracemalloc.start()  # counts only what the pass allocates
+        try:
+            if phase == "epoch":  # backward's peak
+                pipeline.train_epoch(model, adam, g, a_norm, features, None)
+                columns = r + 704
+            else:  # the tapeless forward's
+                pipeline.transform_forward(model, a_norm, features)
+                columns = 384
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak == pytest.approx(8 * self.N * columns, rel=0.05)
 
 
 @pytest.fixture(autouse=True)
