@@ -8,17 +8,16 @@ transform: divide by the row sum, tanh, elementwise square, L2-normalize. All
 gradients are computed in closed form against intermediates recorded on a
 GradientTape; SELU' comes from the output: ``out + SCALE * ALPHA`` if out < 0.
 
-Pooling is decided by the graph's row count n alone. From _POOL_MIN_ROWS
-rows on, every n-row kernel runs in row blocks shared out over every core in
-the process's CPU affinity: SELU, SELU' times the upstream gradient and the
-transform in blocks of about 2^15 elements that stay in cache, products and
-SpMMs in blocks of about 2^18 output elements, and ``H' P`` in blocks of 64
-columns of H. numpy's OpenBLAS is then held to one thread for the rest of the
-process (its idle threads would spin on those cores; without its thread
-setter no pool starts). Below it every kernel is one call, and OpenBLAS keeps
-its own threads. Blocks depend only on array shapes and each is one call
-whichever thread runs it, so a pooled run's outputs are byte-identical for
-any core count; ``taskset -c 0`` gives a serial run.
+Elementwise n-row kernels run at every size in row blocks of about 2^15
+elements, whose temporaries stay in cache. The row count n decides only what
+depends on cores: from _POOL_MIN_ROWS rows on, those blocks are shared out over
+the process's CPU affinity, products and SpMMs split into blocks of about 2^18
+output elements and ``H' P`` into 64 columns of H, and numpy's OpenBLAS is held
+to one thread (its idle threads would spin on those cores; without its thread
+setter no pool starts). Below it blocks run on the calling thread and products
+whole, on OpenBLAS's own threads. Blocks depend only on array shapes and each
+is one call whichever thread runs it, so a pooled run's outputs are
+byte-identical for any core count; ``taskset -c 0`` gives a serial run.
 SELU writes over its product, SELU' multiplies into the upstream gradient and
 Adam updates in place, so an epoch writes each large array once; backward
 frees each taped array, and a tapeless forward each layer's input, once used.
@@ -56,7 +55,7 @@ ADAM_EPS = 1e-8
 
 _BLOCK_ELEMENTS = 1 << 15  # 256 KiB of float64: a block's temporaries stay in L2
 _PRODUCT_ELEMENTS = 1 << 18  # a split product has 4 or more blocks
-_POOL_MIN_ROWS = 1 << 13  # smaller graphs run each kernel whole on the calling thread
+_POOL_MIN_ROWS = 1 << 13  # smaller graphs run on the calling thread, products whole
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -81,24 +80,22 @@ def _pool() -> ThreadPoolExecutor | None:
 
 
 def _row_runs(kernel, n: int, cols: int) -> list:
-    """``kernel(lo, hi)`` over rows [0, n) of an n x cols array, results in row
-    order: one call below _POOL_MIN_ROWS rows, else blocks of about _BLOCK_ELEMENTS."""
-    if n < _POOL_MIN_ROWS:
-        return [kernel(0, n)]
-    return _blocks(kernel, n, max(_BLOCK_ELEMENTS // max(cols, 1), 1))
+    """``kernel(lo, hi)`` over rows [0, n) of an n x cols array in blocks of about
+    _BLOCK_ELEMENTS, results in row order, pooled from _POOL_MIN_ROWS rows on."""
+    return _blocks(kernel, n, max(_BLOCK_ELEMENTS // max(cols, 1), 1), n >= _POOL_MIN_ROWS)
 
 
-def _blocks(kernel, n: int, step: int) -> list:
+def _blocks(kernel, n: int, step: int, pooled: bool = True) -> list:
     """``kernel(lo, hi)`` on consecutive blocks of ``step`` rows of [0, n), in row
-    order; each usable core takes one contiguous run of blocks, the calling thread the
-    first, and a single block runs on the calling thread. A kernel writes only its own
-    rows and calls no module attribute, which a caller may have wrapped."""
+    order. Pooled, each usable core takes one contiguous run of blocks, the calling
+    thread the first; unpooled or for a single block, the calling thread runs all.
+    A kernel writes only its own rows and calls no module attribute, which may be wrapped."""
     starts = range(0, n, step)
 
     def run(starts):
         return [kernel(lo, min(lo + step, n)) for lo in starts]
 
-    pool = _pool() if _WORKERS > 1 and len(starts) > 1 else None
+    pool = _pool() if pooled and _WORKERS > 1 and len(starts) > 1 else None
     if pool is None:
         return run(starts)
     cut = [len(starts) * i // _WORKERS for i in range(_WORKERS + 1)]
@@ -238,8 +235,8 @@ def gcn_forward(
 ) -> np.ndarray:
     """Run all GCN layers; returns the raw (untransformed) embedding matrix.
     ``x0`` may be a dense array or a scipy sparse matrix. Without a tape each step
-    frees its operand: with row-block kernels and train's default dims [r, 256, 128,
-    64], dense r <= 128, at most n * 384 float64 values besides ``x0`` are live."""
+    frees its operand: with train's default dims [r, 256, 128, 64] and dense r <= 128,
+    at most n * 384 float64 values besides ``x0`` are live."""
     if x0.shape[1] != model.layer_dims[0]:
         raise ValueError(
             f"feature dim {x0.shape[1]} != model input dim {model.layer_dims[0]}"
@@ -325,11 +322,10 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
     when the tape recorded a transform, otherwise with respect to the raw
     GCN output. Returns one gradient per weight matrix.
 
-    It consumes the tape, freeing each array once used: with row-block kernels,
-    train's default dims [r, 256, 128, 64] and dense r < 256, an epoch then peaks
-    at n * (r + 704) float64 values, at the transform gradient (the tape,
-    ``dloss_dx`` and its successor) and at layer 1's ``P W'`` (layer 0's input
-    and output, ``dloss_dx``, P and ``P W'``).
+    It consumes the tape, freeing each array once used: with train's default dims
+    [r, 256, 128, 64] and dense r < 256, an epoch then peaks at n * (r + 704) float64
+    values, at the transform gradient (the tape, ``dloss_dx`` and its successor) and
+    at layer 1's ``P W'`` (layer 0's input and output, ``dloss_dx``, P and ``P W'``).
     """
     if not tape.outputs:
         if tape.weights:

@@ -372,8 +372,7 @@ def sbm_dataset(
     block membership plus Gaussian noise of stddev FEATURE_NOISE_STD."""
     g, planted = generate_sbm(block_sizes, p_in, p_out, derive_seed(seed, "sbm"))
     rng = np.random.default_rng(derive_seed(seed, "features"))
-    onehot = np.zeros((g.n, planted.k))
-    onehot[np.arange(g.n), planted.assignment] = 1.0
+    onehot = onehot_from_labels(planted.assignment, np.arange(g.n))
     return g, planted, onehot + rng.normal(0.0, FEATURE_NOISE_STD, size=onehot.shape)
 
 

@@ -163,6 +163,39 @@ class TestCfTree:
         assert sum(1 for _ in tree.leaf_entries()) == 40
         assert not tree.root.is_leaf
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("n", "CF count mismatch with children"),
+            ("ls", "CF linear sum mismatch with children"),
+            ("ss", "CF squared sum mismatch with children"),
+            ("c", "centroid rows differ from ls / n"),
+            ("extra-row", "node exceeds branching factor"),
+        ],
+    )
+    def test_validate_names_each_corruption(self, field, message):
+        # far-apart singletons, 4 to a node: a parent row sums each leaf below the
+        # root, and the first 4 points alone make a root leaf that is full
+        x = np.arange(40, dtype=np.float64).reshape(-1, 1) * 10.0
+        params = BirchParams(threshold=1e-3, branching_factor=4)
+        tree = grown_tree(x[:4] if field == "extra-row" else x, params)
+        tree.validate()
+        leaf = next(leaf_nodes(tree))
+        if field == "extra-row":
+            leaf.insert_row(len(leaf.n), 1, x[4], float(x[4] @ x[4]))
+        else:  # far beyond validate's tolerances
+            rows = getattr(leaf, field)
+            rows[0] = 2 * rows[0] + 1
+        with pytest.raises(AssertionError, match=message):
+            tree.validate()
+
+    def test_negative_squared_radius_raises(self):
+        x = np.array([1.0, 0.0])
+        tree = grown_tree(x[None], BirchParams())
+        tree.root.ss[0] = 0.0  # below x.x: merging x again gives radius^2 = 1/2 - 1
+        with pytest.raises(ValueError, match="negative squared radius beyond rounding slack"):
+            tree.insert(x)
+
 
 def depth(node):
     return 1 if node.is_leaf else 1 + depth(node.entries[0].child)

@@ -1,4 +1,6 @@
+import ctypes
 import threading
+import types
 from unittest import mock
 
 import numpy as np
@@ -571,8 +573,26 @@ class TestRowBlocks:
         assert [name for name, _ in calls].count("_gram") == 2
         if pooled:  # every kernel split, and the pool was asked for
             assert min(count for _, count in calls) >= 2 and pools
-        else:  # every kernel whole: each _row_runs call is one block, and no pool
-            assert max(count for _, count in calls) == 0 and not pools
+        else:  # elementwise kernels split on this thread, products and H' P whole, no pool
+            assert min(count for name, count in calls if name == "_row_runs") >= 2
+            assert max(count for name, count in calls if name != "_row_runs") == 0
+            assert not pools
+
+    @pytest.mark.parametrize("lib", ["unloadable", "no-setter"])
+    def test_no_pool_without_the_blas_thread_setter(self, monkeypatch, lib):
+        opened = []
+
+        def cdll(path):
+            opened.append(path)
+            if lib == "unloadable":
+                raise OSError(path)
+            # a library without the 64-bit setter; the plain one must not be called
+            return types.SimpleNamespace(openblas_set_num_threads=lambda k: pytest.fail("set"))
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(gcn, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("pool"))
+        assert gcn._pool.__wrapped__() is None
+        assert opened  # numpy's OpenBLAS was found and tried
 
     @pytest.mark.parametrize("n", [1, 5, 23])
     @pytest.mark.parametrize("csr", [False, True], ids=["dense-x0", "csr-x0"])

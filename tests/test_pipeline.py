@@ -925,8 +925,8 @@ class TestAllocatorPolicy:
 
 class TestPeakMemory:
     """An epoch's and the tapeless inference pass's traced peaks match the live sets
-    that ``gcn.backward`` and ``gcn.gcn_forward`` count: kernels run in row blocks,
-    as from ``gcn._POOL_MIN_ROWS`` rows on, so their temporaries stay small."""
+    that ``gcn.backward`` and ``gcn.gcn_forward`` count: elementwise kernels run in
+    row blocks at every size, so their temporaries stay small."""
 
     N = 6000
 
@@ -936,10 +936,8 @@ class TestPeakMemory:
         return g, mc.normalized_adjacency(g), features
 
     @pytest.mark.parametrize("phase", ["epoch", "inference"])
-    def test_peak_is_the_counted_live_set(self, sbm, monkeypatch, phase):
+    def test_peak_is_the_counted_live_set(self, sbm, phase):
         g, a_norm, features = sbm
-        monkeypatch.setattr(gcn, "_POOL_MIN_ROWS", 0)
-        monkeypatch.setattr(gcn, "_WORKERS", 1)  # one thread's block temporaries at a time
         r = features.shape[1]
         model = gcn.init_model([r, *RunConfig().hidden_dims], 0)
         adam = gcn.init_adam(model)
