@@ -18,9 +18,13 @@ setter no pool starts). Below it blocks run on the calling thread and products
 whole, on OpenBLAS's own threads. Blocks depend only on array shapes and each
 is one call whichever thread runs it, so a pooled run's outputs are
 byte-identical for any core count; ``taskset -c 0`` gives a serial run.
-SELU writes over its product, SELU' multiplies into the upstream gradient and
-Adam updates in place, so an epoch writes each large array once; backward
-frees each taped array, and a tapeless forward each layer's input, once used.
+SELU writes over its product, SELU' multiplies into the upstream gradient, the
+transform gradient writes over dL/dX and Adam updates in place, so an epoch
+writes each large array once; backward frees each taped array, and a tapeless
+forward each layer's input, once used. With the default dims an epoch peaks at
+n * (r + 640) float64 values, reached three times: in the loss (the tape and
+dL/dX), at the transform gradient (the same) and at layer 1's ``P W'`` (layer
+0's input and output, P and ``P W'``); see ``backward``.
 """
 
 from __future__ import annotations
@@ -320,26 +324,29 @@ def backward(tape: GradientTape, dloss_dx: np.ndarray) -> list[np.ndarray]:
 
     ``dloss_dx`` is the gradient with respect to the transformed embeddings
     when the tape recorded a transform, otherwise with respect to the raw
-    GCN output. Returns one gradient per weight matrix.
+    GCN output. Returns one gradient per weight matrix. When the tape holds a
+    transform, backward overwrites a float64 ``dloss_dx`` with the gradient it passes on.
 
-    It consumes the tape, freeing each array once used: with train's default dims
-    [r, 256, 128, 64] and dense r < 256, an epoch then peaks at n * (r + 704) float64
-    values, at the transform gradient (the tape, ``dloss_dx`` and its successor) and
-    at layer 1's ``P W'`` (layer 0's input and output, ``dloss_dx``, P and ``P W'``).
+    It consumes the tape, freeing each array once used, and frees ``dloss_dx`` at the
+    last layer if the caller keeps no name for it: with train's default dims
+    [r, 256, 128, 64] and dense r < 256, an epoch then peaks at n * (r + 640) float64
+    values, three times: in the loss (the tape and dL/dX), at the transform gradient
+    (the tape and ``dloss_dx``) and at layer 1's ``P W'`` (layer 0's input and output,
+    P and ``P W'``).
     """
     if not tape.outputs:
         if tape.weights:
             raise ValueError("tape was consumed by an earlier backward")
         raise ValueError("tape has no recorded forward pass")
     g = np.asarray(dloss_dx, dtype=np.float64)
+    del dloss_dx  # g is its only name here, so the layers free it
     if g.shape != tape.outputs[-1].shape:  # the transform keeps its input's shape
         raise ValueError("gradient shape does not match the network's output")
 
     if tape.output is not None:
-        g_out, g = g, np.empty_like(g)
 
-        def kernel(lo, hi):
-            gb, u, z = g_out[lo:hi], tape.output[lo:hi], tape.after_tanh[lo:hi]
+        def kernel(lo, hi):  # reads its rows of g before it writes them
+            gb, u, z = g[lo:hi], tape.output[lo:hi], tape.after_tanh[lo:hi]
             degenerate, divided = tape.degenerate_mask[lo:hi], tape.divided_mask[lo:hi]
             # L2 normalization: rows replaced by a constant get zero gradient
             dots = np.einsum("ij,ij->i", gb, u)

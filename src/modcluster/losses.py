@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import _matmul, _row_runs
+from .gcn import _BLOCK_ELEMENTS, _matmul, _row_runs
 from .graph import Graph
 
 
@@ -54,6 +54,18 @@ class LossReport:
     soft_modularity: float
 
 
+def _pairwise_dot(x: np.ndarray, y: np.ndarray) -> np.float64:
+    """``np.sum(x * y)`` for 1-d ``x`` and ``y``, bit for bit, without the whole product:
+    split where numpy's pairwise sum splits (half the length, rounded down to a multiple
+    of 8) until a piece has at most _BLOCK_ELEMENTS values. Arguments, not a closure: a
+    recursive closure over the arrays is a reference cycle that keeps them alive."""
+    n = len(x)
+    if n <= _BLOCK_ELEMENTS:
+        return np.sum(x * y)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_dot(x[:half], y[:half]) + _pairwise_dot(x[half:], y[half:])
+
+
 def modularity_loss(x: np.ndarray, g: Graph) -> tuple[float, np.ndarray]:
     """Negative soft modularity -(1/2m)(Tr(X'AX) - Tr(X'dd'X)/2m) and its gradient.
 
@@ -67,7 +79,7 @@ def modularity_loss(x: np.ndarray, g: Graph) -> tuple[float, np.ndarray]:
     ax = _matmul(g.adj, x)
     d = g.degrees.astype(np.float64)
     dtx = x.T @ d
-    value = -(float(np.sum(x * ax)) - float(dtx @ dtx) / two_m) / two_m
+    value = -(float(_pairwise_dot(x.ravel(), ax.ravel())) - float(dtx @ dtx) / two_m) / two_m
 
     def kernel(lo, hi):  # ax becomes -(2 A X - d d'X / m) / 2m
         grad = np.multiply(ax[lo:hi], 2.0, out=ax[lo:hi])
@@ -120,14 +132,12 @@ def aux_loss_pairs(x: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]
 
 
 def collapse_regularizer(x: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
-    """alpha * ||mean embedding||^4; penalizes the all-one-cluster solution."""
+    """alpha * ||mean embedding||^4; penalizes the all-one-cluster solution. Every
+    row of its gradient is the same: it is one row, broadcast (read-only) to x's shape."""
     xbar = x.mean(axis=0)
     sq = float(xbar @ xbar)
     value = alpha * sq * sq
-    grad = np.broadcast_to(
-        alpha * 4.0 * sq / x.shape[0] * xbar, x.shape
-    ).copy()
-    return value, grad
+    return value, np.broadcast_to(alpha * 4.0 * sq / x.shape[0] * xbar, x.shape)
 
 
 def total_loss(
@@ -139,11 +149,11 @@ def total_loss(
     l2 = reg = 0.0
     if aux.variant == "labels":
         l2, g2 = aux_loss_labels(x, aux.subset, aux.onehot)
-        grad += aux.lam * g2
+        grad += np.multiply(g2, aux.lam, out=g2)  # g2 is scaled in place
     elif aux.variant == "pairs":
         l2, g2 = aux_loss_pairs(x, aux.pairs)
-        grad += aux.lam * g2
-    if aux.alpha != 0.0:
+        grad += np.multiply(g2, aux.lam, out=g2)
+    if aux.alpha != 0.0:  # g3 is a broadcast row
         reg, g3 = collapse_regularizer(x, aux.alpha)
         grad += g3
     report = LossReport(

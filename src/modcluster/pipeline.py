@@ -242,11 +242,12 @@ def train_epoch(
     """
     tape = gcn.GradientTape()
     x = gcn.transform_embeddings(gcn.gcn_forward(model, a_norm, features, tape), tape)
-    report, dldx = total_loss(x, g, aux)
+    report, *dldx = total_loss(x, g, aux)
     del x  # the tape's reference is backward's to free
     if not np.isfinite(report.total):
         raise DivergenceError(f"non-finite loss at epoch {adam.step + 1}")
-    gcn.adam_step(model, gcn.backward(tape, dldx), adam)
+    # popped from its list, dL/dX is handed over: backward holds its only reference
+    gcn.adam_step(model, gcn.backward(tape, dldx.pop()), adam)
     return report
 
 

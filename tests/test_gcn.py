@@ -395,6 +395,18 @@ class TestBackward:
         mc.backward(tape, upstream)
         assert upstream.tobytes() == before.tobytes()
 
+    def test_transformed_upstream_overwritten(self):
+        # the transform's gradient is written over a float64 upstream, not a new array
+        g, a_norm, feats, model = self.setup_small(seed=5)
+        tapes = [GradientTape(), GradientTape()]
+        for tape in tapes:
+            x = mc.transform_embeddings(mc.gcn_forward(model, a_norm, feats, tape), tape)
+        upstream = np.random.default_rng(5).normal(0, 1, x.shape)
+        before = upstream.copy()
+        want = mc.backward(tapes[0], before.copy())
+        assert_same_bits(mc.backward(tapes[1], upstream), want)
+        assert upstream.tobytes() != before.tobytes()
+
     def test_empty_tape_rejected(self):
         with pytest.raises(ValueError, match="tape has no recorded forward pass"):
             mc.backward(GradientTape(), np.zeros((2, 2)))
@@ -498,7 +510,7 @@ def epoch_arrays(model, a_norm, x0, upstream):
     x = mc.transform_embeddings(raw, tape)
     recorded = [v for v in vars(tape).values() if isinstance(v, np.ndarray)]
     recorded += [*tape.inputs, *tape.outputs]
-    grads = mc.backward(tape, upstream)
+    grads = mc.backward(tape, upstream.copy())  # backward writes over its upstream
     return [raw, x, *grads, *recorded]
 
 
@@ -638,7 +650,8 @@ class TestRowBlocks:
             with pytest.warns(UserWarning) as caught:
                 out = mc.transform_embeddings(x, tape)
             arrays = [v for v in vars(tape).values() if isinstance(v, np.ndarray)]
-            grads = mc.backward(tape, g)  # consumes the tape: its arrays are taken first
+            # consumes the tape, so its arrays are taken first, and writes over g's copy
+            grads = mc.backward(tape, g.copy())
             messages = [str(w.message) for w in caught]
             return messages, [out, *grads, *arrays]
 

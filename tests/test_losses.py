@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modcluster as mc
-from modcluster import gcn
+from modcluster import gcn, losses
 from modcluster.graph import from_edges
 from modcluster.losses import AuxiliaryInfo
 from reference import (
@@ -102,6 +104,31 @@ class TestModularityLoss:
         g = from_edges(np.array([[0, 1], [1, 2]]), 3)
         with pytest.raises(ValueError, match="row count"):
             mc.modularity_loss(np.ones((2, 2)), g)
+
+
+class TestPairwiseDot:
+    """``losses._pairwise_dot`` sums x * y without the whole product and must give
+    np.sum(x * y)'s bits. It splits where numpy's pairwise sum splits, so a numpy
+    whose summation rule changes fails here."""
+
+    @pytest.mark.parametrize("magnitudes", ["unit", "mixed"])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (7, 3), (16, 8), (129, 1), (1001, 3), (4099, 17), (65537, 1),
+         (2708, 64), (16000, 64), (169343, 64)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_same_bits_as_the_whole_product(self, shape, magnitudes):
+        rng = np.random.default_rng(shape[0])
+        x, y = rng.normal(0, 1, shape), rng.normal(0, 1, shape)
+        if magnitudes == "mixed":  # rows from 1e-8 to 1e8, so each sum's order shows
+            x *= 10.0 ** rng.integers(-8, 9, (shape[0], 1))
+        want = np.sum(x * y)
+        assert losses._pairwise_dot(x.ravel(), y.ravel()).tobytes() == want.tobytes()
+        if x.size > 1 << 20:  # the data tells summation orders apart
+            pieces = [np.sum(x.ravel()[i : i + 4096] * y.ravel()[i : i + 4096])
+                      for i in range(0, x.size, 4096)]
+            assert np.sum(pieces).tobytes() != want.tobytes()
 
 
 class TestAuxLossLabels:
@@ -253,6 +280,26 @@ class TestTotalLoss:
         _, grad = mc.total_loss(x, g, aux)
         fd = fd_embedding_grad(lambda z: mc.total_loss(z, g, aux)[0].total, x.copy())
         assert max_rel_error([grad], [fd]) < 1e-5
+
+    @pytest.mark.parametrize("variant", ["labels", "pairs"])
+    def test_aux_terms_add_no_n_by_k_temporary(self, variant):
+        # the loss holds its own gradient and the aux term's; scaling that term
+        # and adding the regularizer's row take no third n x k array
+        n, k = 4000, 64
+        g = from_edges(np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1), n)
+        x = random_embedding(np.random.default_rng(14), n, k)
+        rows = np.arange(0, n, 20)
+        if variant == "labels":
+            aux = AuxiliaryInfo("labels", rows, onehot_rows(rows % 3, 3), lam=0.8, alpha=0.1)
+        else:
+            aux = AuxiliaryInfo("pairs", pairs=np.stack([rows, rows + 1], axis=1), lam=0.8, alpha=0.1)
+        tracemalloc.start()
+        try:
+            mc.total_loss(x, g, aux)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n * k
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -926,7 +927,8 @@ class TestAllocatorPolicy:
 class TestPeakMemory:
     """An epoch's and the tapeless inference pass's traced peaks match the live sets
     that ``gcn.backward`` and ``gcn.gcn_forward`` count: elementwise kernels run in
-    row blocks at every size, so their temporaries stay small."""
+    row blocks at every size, so their temporaries stay small. An epoch frees all it
+    allocates."""
 
     N = 6000
 
@@ -945,7 +947,7 @@ class TestPeakMemory:
         try:
             if phase == "epoch":  # backward's peak
                 pipeline.train_epoch(model, adam, g, a_norm, features, None)
-                columns = r + 704
+                columns = r + 640
             else:  # the tapeless forward's
                 pipeline.transform_forward(model, a_norm, features)
                 columns = 384
@@ -953,6 +955,31 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak == pytest.approx(8 * self.N * columns, rel=0.05)
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["no-aux", "labels-aux"])
+    def test_an_epoch_leaves_nothing_behind(self, sbm, labelled):
+        # with the cycle collector off, a reference cycle over an n-row array (say, a
+        # recursive closure over the loss's operands) would outlive its epoch
+        g, a_norm, features = sbm
+        model = gcn.init_model([features.shape[1], *RunConfig().hidden_dims], 0)
+        adam = gcn.init_adam(model)
+        aux = None
+        if labelled:
+            subset = np.arange(0, self.N, 10)
+            onehot = mc.onehot_from_labels(np.arange(self.N) % 4, subset)
+            aux = mc.AuxiliaryInfo("labels", subset, onehot, lam=0.8, alpha=0.1)
+        sizes, collecting = [], gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                pipeline.train_epoch(model, adam, g, a_norm, features, aux)
+                sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+        assert abs(sizes[2] - sizes[1]) < 4096  # an n-row column alone is 48 KB
 
 
 @pytest.fixture(autouse=True)
