@@ -184,7 +184,8 @@ def birch_fit(x: np.ndarray, params: BirchParams | None = None) -> Partition:
         tree.insert(row)
     centroids = np.array(list(tree.leaf_entries()))
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the ||x||^2 term is constant per row
-    scores = x @ centroids.T - 0.5 * np.einsum("ij,ij->i", centroids, centroids)
+    scores = x @ centroids.T  # the readout's one n x k array
+    scores -= 0.5 * np.einsum("ij,ij->i", centroids, centroids)
     nearest = np.argmax(scores, axis=1)
     # compact away any centroid that attracted no points
     return Partition.compact(nearest)

@@ -12,16 +12,20 @@ Elementwise n-row kernels run at every size in row blocks of about 2^15
 elements, whose temporaries stay in cache. The row count n decides only what
 depends on cores: from _POOL_MIN_ROWS rows on, those blocks are shared out over
 the process's CPU affinity, products and SpMMs split into blocks of about 2^18
-output elements and ``H' P`` into 64 columns of H, and numpy's OpenBLAS is held
-to one thread (its idle threads would spin on those cores; without its thread
-setter no pool starts). Below it blocks run on the calling thread and products
-whole, on OpenBLAS's own threads. Blocks depend only on array shapes and each
-is one call whichever thread runs it, so a pooled run's outputs are
-byte-identical for any core count; ``taskset -c 0`` gives a serial run.
+output elements (a power of two rows, so blocks of any widths nest) and ``H' P``
+into 64 columns of H, and numpy's OpenBLAS is held to one thread (its idle
+threads would spin on those cores; without its thread setter no pool starts).
+Below it blocks run on the calling thread and products whole, on OpenBLAS's own
+threads. Blocks depend only on array shapes and each is one call whichever thread
+runs it, so a pooled run's outputs are byte-identical for any core count;
+``taskset -c 0`` gives a serial run.
 SELU writes over its product, SELU' multiplies into the upstream gradient, the
 transform gradient writes over dL/dX and Adam updates in place, so an epoch
 writes each large array once; backward frees each taped array, and a tapeless
-forward each layer's input, once used. With the default dims an epoch peaks at
+forward each layer's input, once used. From _POOL_MIN_ROWS rows on, a tapeless
+forward runs the row-local steps between two SpMMs on one row block before the
+next (see ``_chain``); with the default dims it then peaks at n * 256 float64
+values plus a block per worker, and below at n * 384. An epoch peaks at
 n * (r + 640) float64 values, reached three times: in the loss (the tape and
 dL/dX), at the transform gradient (the same) and at layer 1's ``P W'`` (layer
 0's input and output, P and ``P W'``); see ``backward``.
@@ -93,7 +97,8 @@ def _blocks(kernel, n: int, step: int, pooled: bool = True) -> list:
     """``kernel(lo, hi)`` on consecutive blocks of ``step`` rows of [0, n), in row
     order. Pooled, each usable core takes one contiguous run of blocks, the calling
     thread the first; unpooled or for a single block, the calling thread runs all.
-    A kernel writes only its own rows and calls no module attribute, which may be wrapped."""
+    A kernel writes only its own rows and calls none of the functions that a tracer
+    or test may wrap, such as selu or _matmul: their wrappers expect the calling thread."""
     starts = range(0, n, step)
 
     def run(starts):
@@ -122,8 +127,14 @@ def _matmul(a, b: np.ndarray) -> np.ndarray:
         rows = (a.data[s:e], a.indices[s:e], a.indptr[lo : hi + 1] - s)
         out[lo:hi] = sp.csr_matrix(rows, shape=(hi - lo, a.shape[1])) @ b
 
-    _blocks(kernel, n, max(_PRODUCT_ELEMENTS // cols, 1))
+    _blocks(kernel, n, _product_rows(cols))
     return out
+
+
+def _product_rows(cols: int) -> int:
+    """Rows in a product block with ``cols`` output columns: about _PRODUCT_ELEMENTS,
+    rounded down to a power of two, so the blocks of products of any widths nest."""
+    return 1 << (max(_PRODUCT_ELEMENTS // cols, 1).bit_length() - 1)
 
 
 def _gram(h, p: np.ndarray) -> np.ndarray:
@@ -150,22 +161,23 @@ class RowBlockCsr(sp.csr_matrix):
         return super().__matmul__(other)
 
 
+def _selu_rows(x: np.ndarray, out: np.ndarray) -> None:
+    """SELU of one block of rows into ``out``, which may be ``x``."""
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    neg *= SELU_SCALE * SELU_ALPHA
+    o = np.maximum(x, 0.0, out=out)
+    o *= SELU_SCALE
+    o += neg
+
+
 def selu(x, out=None):
     """Scaled exponential linear unit, elementwise, into ``out`` (which may
     be ``x``) when given."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x) if out is None else out
     x_rows, out_rows = np.atleast_2d(x, out)
-
-    def kernel(lo, hi):
-        neg = np.minimum(x_rows[lo:hi], 0.0)
-        np.expm1(neg, out=neg)
-        neg *= SELU_SCALE * SELU_ALPHA
-        o = np.maximum(x_rows[lo:hi], 0.0, out=out_rows[lo:hi])
-        o *= SELU_SCALE
-        o += neg
-
-    _row_runs(kernel, *out_rows.shape)
+    _row_runs(lambda lo, hi: _selu_rows(x_rows[lo:hi], out_rows[lo:hi]), *out_rows.shape)
     return out
 
 
@@ -182,6 +194,43 @@ def _selu_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     _row_runs(kernel, *out.shape)
     return g
+
+
+def _chain(h: np.ndarray, layer: int, w, w_next) -> np.ndarray:
+    """Layer ``layer``'s row-local steps after its product with A_norm, ``h``, run on
+    one row block before the next starts: ``h @ w`` when given ((A H) W), SELU, the
+    finite check, then the next layer's ``@ w_next`` when given (A (H W)). Each GEMM
+    runs on _matmul's row blocks, which nest, so the bits are the unchained steps'.
+    Activations between two GEMMs go to a scratch block per worker, which the calling
+    thread allocates and the kernels pass on."""
+    n, width = h.shape[0], (h.shape[1] if w is None else w.shape[1])
+    gemms = [m for m in (w, w_next) if m is not None]
+    rows = max(_BLOCK_ELEMENTS // width, 1)  # SELU's blocks
+    step = max([_product_rows(m.shape[1]) for m in gemms], default=rows)
+    out = np.empty((n, gemms[-1].shape[1])) if gemms else h
+    src = h if w is None else out  # where the activations are, without scratch
+    pre = _product_rows(width)  # the blocks of h @ w
+    scratch = [np.empty((step, width)) if len(gemms) == 2 else None
+               for _ in range(min(_WORKERS, -(-n // step)))]
+
+    def kernel(lo, hi):
+        buf = scratch.pop()
+        x = src[lo:hi] if buf is None else buf[: hi - lo]
+        if w is not None:
+            for a in range(lo, hi, pre):
+                np.matmul(h[a : a + pre], w, out=x[a - lo : a - lo + pre])
+        finite = True
+        for a in range(0, hi - lo, rows):
+            _selu_rows(x[a : a + rows], x[a : a + rows])
+            finite &= bool(np.isfinite(x[a : a + rows]).all())
+        if w_next is not None and finite:  # the loop raises before the next layer
+            np.matmul(x, w_next, out=out[lo:hi])
+        scratch.append(buf)
+        return finite
+
+    if not all(_blocks(kernel, n, step)):
+        raise DivergenceError(f"non-finite activation in layer {layer}")
+    return out
 
 
 @dataclass
@@ -240,7 +289,15 @@ def gcn_forward(
     """Run all GCN layers; returns the raw (untransformed) embedding matrix.
     ``x0`` may be a dense array or a scipy sparse matrix. Without a tape each step
     frees its operand: with train's default dims [r, 256, 128, 64] and dense r <= 128,
-    at most n * 384 float64 values besides ``x0`` are live."""
+    at most n * 384 float64 values besides ``x0`` are live below _POOL_MIN_ROWS rows,
+    at layer 1's ``H W`` (layer 0's output and the product).
+
+    From _POOL_MIN_ROWS rows on, products split into row blocks, and without a tape the
+    steps between two products with A_norm run on one block before the next (see
+    ``_chain``): layer 0's n x 256 output never exists whole. The peak is then n * 256
+    values plus one 2^18-value output block per worker, at layer 1's ``A_norm @ (H W)``
+    (its operand and output); layer 0's chain holds ``A_norm @ X0``, layer 1's n x 128
+    ``H W`` and a 2048 x 256 scratch block per worker."""
     if x0.shape[1] != model.layer_dims[0]:
         raise ValueError(
             f"feature dim {x0.shape[1]} != model input dim {model.layer_dims[0]}"
@@ -249,8 +306,18 @@ def gcn_forward(
         tape.a_norm, tape.weights = a_norm, model.weights
         tape.inputs, tape.outputs, tape.aggregate_last = [], [], []
     h = x0.tocsr() if sp.issparse(x0) else x0  # row blocks of a sparse H need CSR
-    for layer, w in enumerate(model.weights):
-        last = sp.issparse(h) or h.shape[1] > w.shape[1]  # H is sparse or the layer narrows
+    lasts = [w.shape[0] > w.shape[1] for w in model.weights]  # A (H W) where a layer narrows
+    lasts[0] |= sp.issparse(h)  # or its H is sparse
+    if tape is None and h.shape[0] >= _POOL_MIN_ROWS:  # products split: chain what lies between
+        if lasts[0]:
+            h = _matmul(h, model.weights[0])
+        # the next layer's H W joins this layer's chain when that layer is A (H W)
+        nexts = [w if last else None for w, last in zip(model.weights[1:], lasts[1:])]
+        for layer, (w, last, w_next) in enumerate(zip(model.weights, lasts, nexts + [None])):
+            h = a_norm @ h
+            h = _chain(h, layer, None if last else w, w_next)
+        return h
+    for layer, (w, last) in enumerate(zip(model.weights, lasts)):
         if not last:
             h = a_norm @ h
         if tape is not None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,20 @@ class TestBirchFit:
             assert part.k == 2
             for g in (0, 1):
                 assert len(np.unique(part.assignment[groups[perm] == g])) == 1
+
+    def test_readout_holds_one_n_by_k_array(self):
+        # many leaf subclusters, so the n x k scores dwarf the tree
+        x = np.random.default_rng(0).uniform(0, 1, (2000, 2))
+        params = BirchParams(threshold=0.03)
+        k = len(list(grown_tree(x, params).leaf_entries()))
+        assert k > 200
+        tracemalloc.start()
+        try:
+            mc.birch_fit(x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * len(x) * k  # two n x k arrays before
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

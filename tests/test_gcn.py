@@ -1,6 +1,9 @@
 import ctypes
+import sys
 import threading
 import types
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -686,3 +689,81 @@ class TestRowBlocks:
         assert_same_bits([mc.selu(v) for v in (0.0, -20.0, x[:, 0], x)], want)
         TestSelu().test_matches_where_form()
         TestSelu().test_grad_from_output()
+
+
+class TestChainedForward:
+    """From _POOL_MIN_ROWS rows on, a tapeless forward chains the row-local steps
+    between two products with A_norm, one row block at a time; it gives the taped
+    loop's bits, and calls no ``selu``."""
+
+    N = 90
+
+    @staticmethod
+    def forward_both(monkeypatch, model, x0, workers=3, product=4096):
+        g = random_graph(TestChainedForward.N, 0.1, 31)
+        a_norm = mc.normalized_adjacency(g)
+        # products in blocks of 8 to 64 rows at product=4096, SELU in blocks of 1 to 8
+        force_blocks(monkeypatch, workers, block=512, product=product)
+        selus = []
+        monkeypatch.setattr(gcn, "selu", lambda *a, f=gcn.selu: selus.append(1) or f(*a))
+        taped = mc.gcn_forward(model, a_norm, x0, GradientTape())
+        assert selus == [1] * len(model.weights)
+        chained = mc.gcn_forward(model, a_norm, x0)
+        assert len(selus) == len(model.weights)
+        return taped, chained
+
+    @pytest.mark.parametrize(
+        "dims, sparse",
+        [
+            ([16, 256, 128, 64], False),  # (A H) W, then A (H W): scratch between GEMMs
+            ([40, 256, 128, 64], True),  # sparse x0: A (H W) throughout
+            ([300, 256, 128, 64], False),  # dense r > 256: A (H W) throughout
+            ([8, 64, 128, 256], False),  # widening: (A H) W throughout
+            ([20, 300, 200, 50], False),  # product blocks of 13 and 20 rows unless rounded
+        ],
+        ids=["dense", "sparse-x0", "dense-r300", "widening", "odd-widths"],
+    )
+    def test_same_bits_as_the_taped_loop(self, monkeypatch, dims, sparse):
+        x0 = np.random.default_rng(7).normal(0, 1, (self.N, dims[0]))
+        if sparse:
+            x0[np.abs(x0) < 1.2] = 0.0
+            x0 = sp.csr_matrix(x0)
+        taped, chained = self.forward_both(monkeypatch, mc.init_model(dims, seed=5), x0)
+        assert_same_bits([chained], [taped])
+
+    def test_scratch_blocks_with_more_workers_than_cores(self, monkeypatch):
+        # each run pops a scratch block of its own: two runs sharing one would mix rows
+        model = mc.init_model([16, 256, 128, 64], seed=5)
+        x0 = np.random.default_rng(7).normal(0, 1, (self.N, 16))
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(7) as pool:
+            monkeypatch.setattr(gcn, "_pool", lambda: pool)
+            sys.setswitchinterval(1e-6)
+            try:  # layer 0's chain: 12 blocks of 8 rows over 8 runs
+                taped, chained = self.forward_both(monkeypatch, model, x0, workers=8, product=1024)
+            finally:
+                sys.setswitchinterval(interval)
+        assert_same_bits([chained], [taped])
+
+    def test_same_divergence_error(self, monkeypatch):
+        model = mc.init_model([16, 256, 128, 64], seed=5)
+        # layer 0's activations are positive and finite; layer 1's H W overflows to +inf
+        np.abs(model.weights[0], out=model.weights[0])
+        model.weights[1][:] = 1e308
+        x0 = np.abs(np.random.default_rng(7).normal(0, 1, (self.N, 16)))
+        g = random_graph(self.N, 0.1, 31)
+        force_blocks(monkeypatch, workers=3, block=512, product=4096)
+        messages = []
+        for tape in (GradientTape(), None):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(gcn.DivergenceError, match="^non-finite activation in layer 1$"):
+                    mc.gcn_forward(model, mc.normalized_adjacency(g), x0, tape)
+            messages.append({str(w.message) for w in caught})
+        assert messages[0] == messages[1] == {"overflow encountered in matmul"}
+
+    @pytest.mark.parametrize("cols", [1, 3, 64, 100, 128, 256, 300, 1433, 1 << 19])
+    def test_product_blocks_nest(self, cols):
+        rows = gcn._product_rows(cols)
+        assert rows & (rows - 1) == 0  # a power of two
+        assert rows <= max(gcn._PRODUCT_ELEMENTS // cols, 1) < 2 * rows

@@ -937,24 +937,31 @@ class TestPeakMemory:
         g, _, features = pipeline.sbm_dataset(*pipeline.scaling_sbm_params(self.N), 0)
         return g, mc.normalized_adjacency(g), features
 
-    @pytest.mark.parametrize("phase", ["epoch", "inference"])
-    def test_peak_is_the_counted_live_set(self, sbm, phase):
+    @pytest.mark.parametrize("phase", ["epoch", "inference", "pooled-inference"])
+    def test_peak_is_the_counted_live_set(self, sbm, phase, monkeypatch):
         g, a_norm, features = sbm
         r = features.shape[1]
         model = gcn.init_model([r, *RunConfig().hidden_dims], 0)
         adam = gcn.init_adam(model)
+        blocks = 0  # product blocks of 2^18 values live at the peak, one per busy worker
+        if phase == "pooled-inference":  # the smallest graph whose forward is chained
+            monkeypatch.setattr(gcn, "_POOL_MIN_ROWS", self.N)
+            # on one worker, so whether two workers' blocks overlap in time cannot move it
+            monkeypatch.setattr(gcn, "_WORKERS", 1)
+            blocks = 1
         tracemalloc.start()  # counts only what the pass allocates
         try:
             if phase == "epoch":  # backward's peak
                 pipeline.train_epoch(model, adam, g, a_norm, features, None)
                 columns = r + 640
-            else:  # the tapeless forward's
+            else:  # the tapeless forward's: the loop's, or the chained steps'
                 pipeline.transform_forward(model, a_norm, features)
-                columns = 384
+                columns = 256 if blocks else 384
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak == pytest.approx(8 * self.N * columns, rel=0.05)
+        count = self.N * columns + blocks * gcn._PRODUCT_ELEMENTS
+        assert peak == pytest.approx(8 * count, rel=0.05)
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["no-aux", "labels-aux"])
     def test_an_epoch_leaves_nothing_behind(self, sbm, labelled):
