@@ -22,13 +22,14 @@ runs it, so a pooled run's outputs are byte-identical for any core count;
 SELU writes over its product, SELU' multiplies into the upstream gradient, the
 transform gradient writes over dL/dX and Adam updates in place, so an epoch
 writes each large array once; backward frees each taped array, and a tapeless
-forward each layer's input, once used. From _POOL_MIN_ROWS rows on, a tapeless
-forward runs the row-local steps between two SpMMs on one row block before the
-next (see ``_chain``); with the default dims it then peaks at n * 256 float64
-values plus a block per worker, and below at n * 384. An epoch peaks at
-n * (r + 640) float64 values, reached three times: in the loss (the tape and
-dL/dX), at the transform gradient (the same) and at layer 1's ``P W'`` (layer
-0's input and output, P and ``P W'``); see ``backward``.
+forward each layer's input, once used. No buffer is kept for reuse: under the
+allocator policy (``pipeline.keep_freed_memory``) a new array takes freed memory.
+From _POOL_MIN_ROWS rows on, a tapeless forward runs the row-local steps between
+two SpMMs on one row block before the next (see ``_chain``); with the default
+dims it then peaks at n * 256 float64 values plus a block per worker, and below
+at n * 384. An epoch peaks at n * (r + 640) float64 values, reached three times:
+in the loss (the tape and dL/dX), at the transform gradient (the same) and at
+layer 1's ``P W'`` (layer 0's input and output, P and ``P W'``); see ``backward``.
 """
 
 from __future__ import annotations
@@ -201,8 +202,7 @@ def _chain(h: np.ndarray, layer: int, w, w_next) -> np.ndarray:
     one row block before the next starts: ``h @ w`` when given ((A H) W), SELU, the
     finite check, then the next layer's ``@ w_next`` when given (A (H W)). Each GEMM
     runs on _matmul's row blocks, which nest, so the bits are the unchained steps'.
-    Activations between two GEMMs go to a scratch block per worker, which the calling
-    thread allocates and the kernels pass on."""
+    Activations between two GEMMs go to a scratch block that the kernel allocates."""
     n, width = h.shape[0], (h.shape[1] if w is None else w.shape[1])
     gemms = [m for m in (w, w_next) if m is not None]
     rows = max(_BLOCK_ELEMENTS // width, 1)  # SELU's blocks
@@ -210,12 +210,9 @@ def _chain(h: np.ndarray, layer: int, w, w_next) -> np.ndarray:
     out = np.empty((n, gemms[-1].shape[1])) if gemms else h
     src = h if w is None else out  # where the activations are, without scratch
     pre = _product_rows(width)  # the blocks of h @ w
-    scratch = [np.empty((step, width)) if len(gemms) == 2 else None
-               for _ in range(min(_WORKERS, -(-n // step)))]
 
     def kernel(lo, hi):
-        buf = scratch.pop()
-        x = src[lo:hi] if buf is None else buf[: hi - lo]
+        x = np.empty((hi - lo, width)) if len(gemms) == 2 else src[lo:hi]
         if w is not None:
             for a in range(lo, hi, pre):
                 np.matmul(h[a : a + pre], w, out=x[a - lo : a - lo + pre])
@@ -225,7 +222,6 @@ def _chain(h: np.ndarray, layer: int, w, w_next) -> np.ndarray:
             finite &= bool(np.isfinite(x[a : a + rows]).all())
         if w_next is not None and finite:  # the loop raises before the next layer
             np.matmul(x, w_next, out=out[lo:hi])
-        scratch.append(buf)
         return finite
 
     if not all(_blocks(kernel, n, step)):
@@ -297,7 +293,7 @@ def gcn_forward(
     ``_chain``): layer 0's n x 256 output never exists whole. The peak is then n * 256
     values plus one 2^18-value output block per worker, at layer 1's ``A_norm @ (H W)``
     (its operand and output); layer 0's chain holds ``A_norm @ X0``, layer 1's n x 128
-    ``H W`` and a 2048 x 256 scratch block per worker."""
+    ``H W`` and, in each busy worker, the 2048 x 256 scratch block of its row block."""
     if x0.shape[1] != model.layer_dims[0]:
         raise ValueError(
             f"feature dim {x0.shape[1]} != model input dim {model.layer_dims[0]}"
@@ -454,8 +450,6 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
-    # two work arrays per layer
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
 
 def init_adam(model: GcnModel, learning_rate: float = LEARNING_RATE) -> AdamState:
@@ -463,7 +457,6 @@ def init_adam(model: GcnModel, learning_rate: float = LEARNING_RATE) -> AdamStat
         learning_rate=learning_rate,
         m=[np.zeros_like(w) for w in model.weights],
         v=[np.zeros_like(w) for w in model.weights],
-        scratch=[(np.empty_like(w), np.empty_like(w)) for w in model.weights],
     )
 
 
@@ -485,7 +478,7 @@ def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState) -> Non
     state.step += 1
     t = state.step
     for i, (w, g) in enumerate(zip(model.weights, grads)):
-        m, v, (a, b) = state.m[i], state.v[i], state.scratch[i]
+        m, v, a, b = state.m[i], state.v[i], np.empty_like(w), np.empty_like(w)
         m *= ADAM_BETA1
         m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2

@@ -147,12 +147,10 @@ def total_loss(
     aux = aux or AuxiliaryInfo()
     l1, grad = modularity_loss(x, g)
     l2 = reg = 0.0
-    if aux.variant == "labels":
-        l2, g2 = aux_loss_labels(x, aux.subset, aux.onehot)
+    if aux.variant in ("labels", "pairs"):
+        l2, g2 = (aux_loss_labels(x, aux.subset, aux.onehot) if aux.variant == "labels"
+                  else aux_loss_pairs(x, aux.pairs))
         grad += np.multiply(g2, aux.lam, out=g2)  # g2 is scaled in place
-    elif aux.variant == "pairs":
-        l2, g2 = aux_loss_pairs(x, aux.pairs)
-        grad += np.multiply(g2, aux.lam, out=g2)
     if aux.alpha != 0.0:  # g3 is a broadcast row
         reg, g3 = collapse_regularizer(x, aux.alpha)
         grad += g3

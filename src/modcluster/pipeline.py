@@ -208,7 +208,7 @@ def train_single_seed(
 
 
 # glibc's mallopt parameters, and the size under which freed memory stays in the heap
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 KEEP_FREED_BYTES = 1 << 30
 
 
@@ -216,7 +216,9 @@ def keep_freed_memory() -> None:
     """Have glibc's malloc keep freed blocks under 1 GiB for reuse, so an epoch's
     arrays take the memory of the last epoch's instead of being mapped and faulted in
     afresh. Both thresholds are set: either one turns off glibc's adaptive thresholds,
-    and the other, left at its default, still hands the memory back. No-op without mallopt."""
+    and the other, left at its default, still hands the memory back. One arena serves
+    every thread, so a block that a worker thread allocates reuses the heap's freed
+    memory rather than growing an arena of the worker's own. No-op without mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -224,6 +226,7 @@ def keep_freed_memory() -> None:
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, KEEP_FREED_BYTES)
     mallopt(M_TRIM_THRESHOLD, KEEP_FREED_BYTES)
+    mallopt(M_ARENA_MAX, 1)
 
 
 def train_epoch(

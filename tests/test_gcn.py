@@ -732,7 +732,8 @@ class TestChainedForward:
         assert_same_bits([chained], [taped])
 
     def test_scratch_blocks_with_more_workers_than_cores(self, monkeypatch):
-        # each run pops a scratch block of its own: two runs sharing one would mix rows
+        # more runs than cores, each kernel writing its own scratch block: runs that
+        # shared one would mix rows
         model = mc.init_model([16, 256, 128, 64], seed=5)
         x0 = np.random.default_rng(7).normal(0, 1, (self.N, 16))
         interval = sys.getswitchinterval()

@@ -900,7 +900,8 @@ class TestAllocatorPolicy:
         self.fake_libc(monkeypatch, Libc)
         assert main([*self.SCALING, "--out", str(tmp_path / "scaling.csv")]) == 0
         assert calls == [
-            (pipeline.M_MMAP_THRESHOLD, 1 << 30), (pipeline.M_TRIM_THRESHOLD, 1 << 30)
+            (pipeline.M_MMAP_THRESHOLD, 1 << 30), (pipeline.M_TRIM_THRESHOLD, 1 << 30),
+            (pipeline.M_ARENA_MAX, 1),
         ]
 
     def test_silent_without_mallopt(self, tmp_path, monkeypatch, capsys):
@@ -962,6 +963,23 @@ class TestPeakMemory:
             tracemalloc.stop()
         count = self.N * columns + blocks * gcn._PRODUCT_ELEMENTS
         assert peak == pytest.approx(8 * count, rel=0.05)
+
+    def test_adam_keeps_only_its_moments(self, sbm):
+        # the step's two work arrays per layer are freed with it: the moments remain
+        g, a_norm, features = sbm
+        dims = [features.shape[1], *RunConfig().hidden_dims]
+        warm = gcn.init_model(dims, 0)  # a first epoch fills caches that outlive it
+        pipeline.train_epoch(warm, gcn.init_adam(warm), g, a_norm, features, None)
+        model = gcn.init_model(dims, 0)
+        tracemalloc.start()
+        try:
+            adam = gcn.init_adam(model)
+            pipeline.train_epoch(model, adam, g, a_norm, features, None)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert adam.step == 1
+        assert abs(held - 2 * sum(w.nbytes for w in model.weights)) < 4096
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["no-aux", "labels-aux"])
     def test_an_epoch_leaves_nothing_behind(self, sbm, labelled):
