@@ -9,27 +9,28 @@ gradients are computed in closed form against intermediates recorded on a
 GradientTape; SELU' comes from the output: ``out + SCALE * ALPHA`` if out < 0.
 
 Elementwise n-row kernels run at every size in row blocks of about 2^15
-elements, whose temporaries stay in cache. The row count n decides only what
-depends on cores: from _POOL_MIN_ROWS rows on, those blocks are shared out over
-the process's CPU affinity, products and SpMMs split into blocks of about 2^18
-output elements (a power of two rows, so blocks of any widths nest) and ``H' P``
-into 64 columns of H, and numpy's OpenBLAS is held to one thread (its idle
-threads would spin on those cores; without its thread setter no pool starts).
-Below it blocks run on the calling thread and products whole, on OpenBLAS's own
-threads. Blocks depend only on array shapes and each is one call whichever thread
-runs it, so a pooled run's outputs are byte-identical for any core count;
+elements, whose temporaries stay in cache, and dense products in blocks of about
+2^18 output elements (a power of two rows, so blocks of any widths nest). The row
+count n decides only what depends on cores: from _POOL_MIN_ROWS rows on, those
+blocks are shared out over the process's CPU affinity, SpMMs split as products do
+and ``H' P`` into 64 columns of H, and numpy's OpenBLAS is held to one thread (its
+idle threads would spin on those cores; without its thread setter no pool starts).
+Below it blocks run on the calling thread, on OpenBLAS's own threads, and SpMMs and
+``H' P`` whole. Blocks depend only on array shapes and each is one call whichever
+thread runs it, so a pooled run's outputs are byte-identical for any core count;
 ``taskset -c 0`` gives a serial run.
 SELU writes over its product, SELU' multiplies into the upstream gradient, the
 transform gradient writes over dL/dX and Adam updates in place, so an epoch
 writes each large array once; backward frees each taped array, and a tapeless
 forward each layer's input, once used. No buffer is kept for reuse: under the
 allocator policy (``pipeline.keep_freed_memory``) a new array takes freed memory.
-From _POOL_MIN_ROWS rows on, a tapeless forward runs the row-local steps between
-two SpMMs on one row block before the next (see ``_chain``); with the default
-dims it then peaks at n * 256 float64 values plus a block per worker, and below
-at n * 384. An epoch peaks at n * (r + 640) float64 values, reached three times:
-in the loss (the tape and dL/dX), at the transform gradient (the same) and at
-layer 1's ``P W'`` (layer 0's input and output, P and ``P W'``); see ``backward``.
+A tapeless forward runs the row-local steps between two SpMMs on one row block
+before the next (see ``_chain``); with the default dims it peaks at n * 256 float64
+values plus a product block per busy worker when pooled, or below about 4096 rows in
+layer 0's chain (n * 512 with sparse features, at layer 0's SpMM). An epoch peaks
+at n * (r + 640) float64 values, reached three times: in the loss (the tape and
+dL/dX), at the transform gradient (the same) and at layer 1's ``P W'`` (layer 0's
+input and output, P and ``P W'``); see ``backward``.
 """
 
 from __future__ import annotations
@@ -114,10 +115,11 @@ def _blocks(kernel, n: int, step: int, pooled: bool = True) -> list:
 
 
 def _matmul(a, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for a dense or CSR ``a``, in row blocks from _POOL_MIN_ROWS rows on."""
+    """``a @ b`` for a dense or CSR ``a``, in row blocks: a dense ``a`` at every size
+    (``_chain``'s GEMMs run on the same blocks), a CSR one from _POOL_MIN_ROWS rows on."""
     n, cols = a.shape[0], b.shape[1]
-    if n < _POOL_MIN_ROWS:  # scipy's @: a RowBlockCsr's own @ calls back here
-        return sp.csr_matrix.__matmul__(a, b) if sp.issparse(a) else a @ b
+    if sp.issparse(a) and n < _POOL_MIN_ROWS:  # scipy's @: a RowBlockCsr's own @ calls back here
+        return sp.csr_matrix.__matmul__(a, b)
     out = np.empty((n, cols), dtype=np.result_type(a.dtype, b.dtype))
 
     def kernel(lo, hi):
@@ -128,7 +130,7 @@ def _matmul(a, b: np.ndarray) -> np.ndarray:
         rows = (a.data[s:e], a.indices[s:e], a.indptr[lo : hi + 1] - s)
         out[lo:hi] = sp.csr_matrix(rows, shape=(hi - lo, a.shape[1])) @ b
 
-    _blocks(kernel, n, _product_rows(cols))
+    _blocks(kernel, n, _product_rows(cols), n >= _POOL_MIN_ROWS)
     return out
 
 
@@ -224,7 +226,7 @@ def _chain(h: np.ndarray, layer: int, w, w_next) -> np.ndarray:
             np.matmul(x, w_next, out=out[lo:hi])
         return finite
 
-    if not all(_blocks(kernel, n, step)):
+    if not all(_blocks(kernel, n, step, n >= _POOL_MIN_ROWS)):
         raise DivergenceError(f"non-finite activation in layer {layer}")
     return out
 
@@ -283,28 +285,24 @@ def gcn_forward(
     tape: GradientTape | None = None,
 ) -> np.ndarray:
     """Run all GCN layers; returns the raw (untransformed) embedding matrix.
-    ``x0`` may be a dense array or a scipy sparse matrix. Without a tape each step
-    frees its operand: with train's default dims [r, 256, 128, 64] and dense r <= 128,
-    at most n * 384 float64 values besides ``x0`` are live below _POOL_MIN_ROWS rows,
-    at layer 1's ``H W`` (layer 0's output and the product).
-
-    From _POOL_MIN_ROWS rows on, products split into row blocks, and without a tape the
-    steps between two products with A_norm run on one block before the next (see
-    ``_chain``): layer 0's n x 256 output never exists whole. The peak is then n * 256
-    values plus one 2^18-value output block per worker, at layer 1's ``A_norm @ (H W)``
-    (its operand and output); layer 0's chain holds ``A_norm @ X0``, layer 1's n x 128
-    ``H W`` and, in each busy worker, the 2048 x 256 scratch block of its row block."""
+    ``x0`` may be a dense array or a scipy sparse matrix. Without a tape the steps
+    between two products with A_norm run on one row block before the next (see
+    ``_chain``) and each step frees its operand, so layer 0's n x 256 output never
+    exists whole. With train's default dims [r, 256, 128, 64] and dense r <= 128, the
+    peak besides ``x0`` is n * 256 float64 values at layer 1's ``A_norm @ (H W)`` (its
+    operand and output), plus one 2^18-value output block per busy worker when pooled;
+    below about 4096 rows it is layer 0's chain, which holds ``A_norm @ X0``, layer 1's
+    n x 128 ``H W`` and the 2048 x 256 scratch block of each row block it runs (n * 338
+    at n = 2708, r = 4). With sparse features layer 0 is ``A_norm @ (X0 W0)``, whose
+    SpMM holds n * 512."""
     if x0.shape[1] != model.layer_dims[0]:
         raise ValueError(
             f"feature dim {x0.shape[1]} != model input dim {model.layer_dims[0]}"
         )
-    if tape is not None:
-        tape.a_norm, tape.weights = a_norm, model.weights
-        tape.inputs, tape.outputs, tape.aggregate_last = [], [], []
     h = x0.tocsr() if sp.issparse(x0) else x0  # row blocks of a sparse H need CSR
     lasts = [w.shape[0] > w.shape[1] for w in model.weights]  # A (H W) where a layer narrows
     lasts[0] |= sp.issparse(h)  # or its H is sparse
-    if tape is None and h.shape[0] >= _POOL_MIN_ROWS:  # products split: chain what lies between
+    if tape is None:  # chain what lies between two products with A_norm
         if lasts[0]:
             h = _matmul(h, model.weights[0])
         # the next layer's H W joins this layer's chain when that layer is A (H W)
@@ -313,20 +311,20 @@ def gcn_forward(
             h = a_norm @ h
             h = _chain(h, layer, None if last else w, w_next)
         return h
+    tape.a_norm, tape.weights = a_norm, model.weights
+    tape.inputs, tape.outputs, tape.aggregate_last = [], [], []
     for layer, (w, last) in enumerate(zip(model.weights, lasts)):
         if not last:
             h = a_norm @ h
-        if tape is not None:
-            tape.inputs.append(h)
-            tape.aggregate_last.append(last)
-        h = _matmul(h, w)  # without a tape, h was the input's last reference
+        tape.inputs.append(h)
+        tape.aggregate_last.append(last)
+        h = _matmul(h, w)
         if last:
             h = a_norm @ h
         h = selu(h, h)
         if not all(_row_runs(lambda lo, hi: np.isfinite(h[lo:hi]).all(), *h.shape)):
             raise DivergenceError(f"non-finite activation in layer {layer}")
-        if tape is not None:
-            tape.outputs.append(h)
+        tape.outputs.append(h)
     return h
 
 

@@ -562,21 +562,21 @@ class TestRowBlocks:
         if pooled:
             monkeypatch.setattr(gcn, "_POOL_MIN_ROWS", n)
         assert (n >= gcn._POOL_MIN_ROWS) == pooled
-        pools, calls = [], []  # calls: [n-row kernel, blocks it ran in]
+        pools, calls = [], []  # calls: [n-row kernel, its operand is sparse, blocks it ran in]
         monkeypatch.setattr(gcn, "_pool", lambda: pools.append(1))  # None: blocks run here
         kernels = {gcn: ("_row_runs", "_matmul", "_gram"), losses: ("_row_runs", "_matmul")}
         for module, names in kernels.items():
             for name in names:
 
                 def tracked(*args, original=getattr(module, name), name=name):
-                    calls.append([name, 0])
+                    calls.append([name, sp.issparse(args[0]), 0])
                     return original(*args)
 
                 monkeypatch.setattr(module, name, tracked)
         blocks = gcn._blocks
 
         def counted(*args):
-            calls[-1][1] += len(result := blocks(*args))
+            calls[-1][2] += len(result := blocks(*args))
             return result
 
         monkeypatch.setattr(gcn, "_blocks", counted)
@@ -584,14 +584,16 @@ class TestRowBlocks:
         raw = mc.gcn_forward(model, mc.normalized_adjacency(g), x0, tape)
         x = mc.transform_embeddings(raw, tape)
         mc.backward(tape, mc.total_loss(x, g, None)[1])
-        assert {name for name, _ in calls} == {"_row_runs", "_matmul", "_gram"}
-        assert [name for name, _ in calls].count("_gram") == 2
+        assert {name for name, *_ in calls} == {"_row_runs", "_matmul", "_gram"}
+        assert [name for name, *_ in calls].count("_gram") == 2
+        assert {sparse for name, sparse, _ in calls if name == "_matmul"} == {False, True}
         if pooled:  # every kernel split, and the pool was asked for
-            assert min(count for _, count in calls) >= 2 and pools
-        else:  # elementwise kernels split on this thread, products and H' P whole, no pool
-            assert min(count for name, count in calls if name == "_row_runs") >= 2
-            assert max(count for name, count in calls if name != "_row_runs") == 0
-            assert not pools
+            assert min(count for *_, count in calls) >= 2 and pools
+        else:  # elementwise kernels and dense products split on this thread, SpMMs and
+            # H' P whole, no pool
+            whole = [count for name, sparse, count in calls if name == "_gram" or sparse]
+            split = [count for name, sparse, count in calls if not (name == "_gram" or sparse)]
+            assert min(split) >= 2 and max(whole) == 0 and not pools
 
     @pytest.mark.parametrize("lib", ["unloadable", "no-setter"])
     def test_no_pool_without_the_blas_thread_setter(self, monkeypatch, lib):
@@ -692,9 +694,9 @@ class TestRowBlocks:
 
 
 class TestChainedForward:
-    """From _POOL_MIN_ROWS rows on, a tapeless forward chains the row-local steps
-    between two products with A_norm, one row block at a time; it gives the taped
-    loop's bits, and calls no ``selu``."""
+    """A tapeless forward chains the row-local steps between two products with
+    A_norm, one row block at a time; it gives the taped loop's bits, and calls no
+    ``selu``."""
 
     N = 90
 
@@ -730,6 +732,27 @@ class TestChainedForward:
             x0 = sp.csr_matrix(x0)
         taped, chained = self.forward_both(monkeypatch, mc.init_model(dims, seed=5), x0)
         assert_same_bits([chained], [taped])
+
+    @pytest.mark.parametrize(
+        "dims, sparse",
+        [([16, 256, 128, 64], False), ([40, 256, 128, 64], True), ([20, 300, 200, 50], False)],
+        ids=["dense", "sparse-x0", "odd-widths"],
+    )
+    def test_below_the_pool_rows(self, monkeypatch, dims, sparse):
+        # the real constants: products of 3000 rows split into blocks of 512 to 2048
+        # rows on this thread (of 64 or 50 columns, one block), and no pool starts
+        n = 3000
+        assert n < gcn._POOL_MIN_ROWS
+        a_norm = mc.normalized_adjacency(random_graph(n, 0.003, 31))
+        x0 = np.random.default_rng(7).normal(0, 1, (n, dims[0]))
+        if sparse:
+            x0[np.abs(x0) < 1.2] = 0.0
+            x0 = sp.csr_matrix(x0)
+        model = mc.init_model(dims, seed=5)
+        monkeypatch.setattr(gcn, "_pool", lambda: pytest.fail("pool"))
+        taped = mc.gcn_forward(model, a_norm, x0, GradientTape())
+        monkeypatch.setattr(gcn, "selu", lambda *a: pytest.fail("selu"))
+        assert_same_bits([mc.gcn_forward(model, a_norm, x0)], [taped])
 
     def test_scratch_blocks_with_more_workers_than_cores(self, monkeypatch):
         # more runs than cores, each kernel writing its own scratch block: runs that

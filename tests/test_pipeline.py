@@ -945,7 +945,7 @@ class TestPeakMemory:
         model = gcn.init_model([r, *RunConfig().hidden_dims], 0)
         adam = gcn.init_adam(model)
         blocks = 0  # product blocks of 2^18 values live at the peak, one per busy worker
-        if phase == "pooled-inference":  # the smallest graph whose forward is chained
+        if phase == "pooled-inference":  # the smallest graph whose forward is pooled
             monkeypatch.setattr(gcn, "_POOL_MIN_ROWS", self.N)
             # on one worker, so whether two workers' blocks overlap in time cannot move it
             monkeypatch.setattr(gcn, "_WORKERS", 1)
@@ -955,9 +955,9 @@ class TestPeakMemory:
             if phase == "epoch":  # backward's peak
                 pipeline.train_epoch(model, adam, g, a_norm, features, None)
                 columns = r + 640
-            else:  # the tapeless forward's: the loop's, or the chained steps'
+            else:  # the tapeless forward's, whose steps are chained at every size
                 pipeline.transform_forward(model, a_norm, features)
-                columns = 256 if blocks else 384
+                columns = 256
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
